@@ -1,6 +1,7 @@
 """Experiment runner: network construction, seeding, reports, CLI."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from symnet.harness import (
     write_report,
 )
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
 RUN_HEADER = "experiment,architecture,run_index,seed,restarts,train_accuracy,test_accuracy,final_loss"
 
 
@@ -301,3 +303,14 @@ class TestDeterminism:
         a = render_json(run_experiment(spec))
         b = render_json(run_experiment(spec))
         assert a == b
+
+
+class TestGoldenReports:
+    def test_reports_match_golden_bytes(self):
+        # Recorded with master seed 0; a refactor that shifts every run the
+        # same way keeps reruns equal to each other but breaks these bytes.
+        for experiment in ("identity", "rule"):
+            report = run_experiment(ExperimentSpec(experiment, runs=5, master_seed=0))
+            for suffix, render in (("csv", render_csv), ("md", render_markdown)):
+                golden = (GOLDEN_DIR / f"report_{experiment}.{suffix}").read_bytes()
+                assert render(report).encode("utf-8") == golden, f"report_{experiment}.{suffix}"
