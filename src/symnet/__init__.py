@@ -11,7 +11,7 @@ into CSV / JSON / Markdown reports.
 
 __version__ = "0.1.0"
 
-from symnet.ndcore import SeededRng, ShapeError, derive_seed, init_uniform, matmul, sigmoid, softmax
+from symnet.ndcore import SeededRng, ShapeError, derive_seed, init_uniform, sigmoid, softmax
 from symnet.layers import Conv1DLayer, DenseLayer, GlobalMaxPool, Reshape, Sigmoid, Softmax, Transpose
 from symnet.training import Network, RunReport, TrainConfig, cross_entropy, evaluate, gd_step, squared_error, train
 from symnet.tasks import Dataset, Vocabulary, encode_sequence, make_identity_dataset, make_rule_dataset
@@ -22,7 +22,6 @@ __all__ = [
     "ShapeError",
     "derive_seed",
     "init_uniform",
-    "matmul",
     "sigmoid",
     "softmax",
     "Conv1DLayer",

@@ -4,8 +4,9 @@ Executes the 100-run protocol for one experiment, for one or both
 architectures, and renders the per-run and aggregate results as CSV, JSON,
 or a Markdown table.  Every run's seed is mixed from the master seed, the
 architecture id, and the run index, so reports are byte-identical across
-reruns, platforms, and worker counts, and enabling the second architecture
-never shifts the first one's streams.
+reruns and worker counts on the same numpy/BLAS build (dense layers contract
+through BLAS, whose kernels can round differently on other builds or CPUs),
+and enabling the second architecture never shifts the first one's streams.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import io
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 
 from symnet.ndcore import SeededRng, derive_seed
-from symnet.layers import Conv1DLayer, DenseLayer, GlobalMaxPool, Reshape, Sigmoid, Softmax, Transpose
+from symnet.layers import Conv1DLayer, DenseLayer, GlobalMaxPool, Reshape, Sigmoid, Transpose
 from symnet.training import Network, RunReport, TrainConfig, evaluate, train
 from symnet.tasks import Dataset, dataset_to_csv, make_identity_dataset, make_rule_dataset
 
@@ -30,7 +31,9 @@ FORMATS = ("csv", "json", "md")
 
 # defaults validated against the acceptance suite; see README
 DEFAULT_LEARNING_RATES = {"identity": 1.0, "rule": 0.1}
-DEFAULT_LOSSES = {"identity": "squared_error", "rule": "cross_entropy"}
+DEFAULT_MAX_RESTARTS = {"identity": 0, "rule": 50}
+# fixed per experiment (regression vs classification); build_network sets it
+EXPERIMENT_LOSSES = {"identity": "squared_error", "rule": "cross_entropy"}
 
 
 @dataclass
@@ -40,10 +43,7 @@ class ExperimentSpec:
     runs: int = 100
     train: TrainConfig | None = None  # None = experiment defaults
     master_seed: int = 0
-    output_format: str = "md"
-    output_path: str | None = None  # None = stdout
     filter_width: int = 5
-    export_dataset: str | None = None
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -56,8 +56,6 @@ class ExperimentSpec:
                 raise ValueError(f"unknown architecture {arch!r}; expected a subset of {ARCHITECTURES}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-        if self.output_format not in FORMATS:
-            raise ValueError(f"unknown format {self.output_format!r}; expected one of {FORMATS}")
         if self.filter_width < 1 or self.filter_width % 2 == 0:
             raise ValueError("filter width must be a positive odd integer")
 
@@ -81,16 +79,13 @@ class ExperimentReport:
 
 
 def resolved_train_config(spec: ExperimentSpec) -> TrainConfig:
-    """Fills in per-experiment defaults; identity runs are never restarted."""
-    config = spec.train if spec.train is not None else TrainConfig(
+    """The spec's own TrainConfig, or the experiment's defaults if it has none."""
+    if spec.train is not None:
+        return spec.train
+    return TrainConfig(
         learning_rate=DEFAULT_LEARNING_RATES[spec.experiment],
-        loss=DEFAULT_LOSSES[spec.experiment],
-        max_restarts=50 if spec.experiment == "rule" else 0,
+        max_restarts=DEFAULT_MAX_RESTARTS[spec.experiment],
     )
-    config = replace(config, loss=DEFAULT_LOSSES[spec.experiment])
-    if spec.experiment == "identity":
-        config = replace(config, max_restarts=0)
-    return config
 
 
 def make_dataset(experiment: str) -> Dataset:
@@ -108,10 +103,13 @@ def build_network(experiment: str, architecture: str, rng: SeededRng, filter_wid
     identity/conv    1-channel width-``filter_width`` conv, zero-padded to
                      keep 5 positions, sigmoid outputs
     rule/dense       36 in -> 24 hidden, regrouped as 2 channels x 12
-                     positions, global max pool, 2-way softmax
+                     positions, global max pool to 2 logits
     rule/conv        width-1 conv projecting the 3 sequence slots to 2
                      channels at each of the 12 word positions, global max
-                     pool, 2-way softmax
+                     pool to 2 logits
+
+    Identity nets train on squared error; rule nets train on cross-entropy
+    over the logits, and their ``predict`` adds the 2-way softmax.
     """
     arch_id = f"{experiment}_{architecture}"
     if arch_id == "identity_dense":
@@ -129,18 +127,16 @@ def build_network(experiment: str, architecture: str, rng: SeededRng, filter_wid
             DenseLayer.from_rng(rng, 36, 24),
             Reshape((24,), (2, 12)),
             GlobalMaxPool(),
-            Softmax(),
         ]
     elif arch_id == "rule_conv":
         stages = [
             Transpose(),
             Conv1DLayer.from_rng(rng, 3, 2, 1, padding="none"),
             GlobalMaxPool(),
-            Softmax(),
         ]
     else:
         raise ValueError(f"unknown experiment/architecture pair {experiment!r}/{architecture!r}")
-    return Network(stages, architecture=arch_id)
+    return Network(stages, architecture=arch_id, loss=EXPERIMENT_LOSSES[experiment])
 
 
 def execute_run(
@@ -222,7 +218,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentReport:
             "runs": spec.runs,
             "epochs": config.epochs,
             "learning_rate": config.learning_rate,
-            "loss": config.loss,
+            "loss": EXPERIMENT_LOSSES[spec.experiment],
             "max_restarts": config.max_restarts,
             "master_seed": spec.master_seed,
             "filter_width": spec.filter_width,
@@ -285,27 +281,6 @@ def render_json(report: ExperimentReport) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def parse_report(text: str) -> ExperimentReport:
-    """Inverse of render_json: rebuilds the report objects from JSON."""
-    payload = json.loads(text)
-    architectures = [
-        ArchitectureReport(
-            architecture=arch["architecture"],
-            runs=[RunReport(**run) for run in arch["runs"]],
-            mean_train_accuracy=arch["mean_train_accuracy"],
-            mean_test_accuracy=arch["mean_test_accuracy"],
-            failed_runs=arch["failed_runs"],
-        )
-        for arch in payload["architectures"]
-    ]
-    return ExperimentReport(
-        experiment=payload["experiment"],
-        architectures=architectures,
-        config=payload["config"],
-        version=payload["version"],
-    )
-
-
 def _percent(value: float | None) -> str:
     return "n/a" if value is None else f"{100.0 * value:.1f}%"
 
@@ -360,83 +335,56 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    return value
-
-
-def _odd_positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1 or value % 2 == 0:
-        raise argparse.ArgumentTypeError(f"expected a positive odd integer, got {text!r}")
-    return value
-
-
-def parse_cli(argv=None) -> ExperimentSpec:
-    """Parses flags into a fully resolved ExperimentSpec.  Exits with code 1
-    on any usage error."""
+def parse_cli(argv=None) -> tuple[ExperimentSpec, argparse.Namespace]:
+    """Parses flags into a fully resolved ExperimentSpec, returned with the
+    parsed flags, which also name the report and dataset sinks.  Exits with
+    code 1 on any usage error, including values that TrainConfig or
+    ExperimentSpec reject."""
     parser = _Parser(
         prog="symnet",
         description="Run the identity or rule generalisation experiment and report per-seed accuracies.",
     )
     parser.add_argument("--experiment", required=True, choices=EXPERIMENTS, help="which task to run")
     parser.add_argument("--arch", default="both", choices=("conv", "dense", "both"), help="architecture(s) to run (default both)")
-    parser.add_argument("--runs", type=_positive_int, default=100, help="number of seeded runs per architecture (default 100)")
-    parser.add_argument("--epochs", type=_positive_int, default=1000, help="training epochs per run (default 1000)")
-    parser.add_argument("--lr", type=_positive_float, default=None, help="learning rate (default 1.0 for identity, 0.1 for rule)")
+    parser.add_argument("--runs", type=int, default=100, help="number of seeded runs per architecture (default 100)")
+    parser.add_argument("--epochs", type=int, default=1000, help="training epochs per run (default 1000)")
+    parser.add_argument("--lr", type=float, default=None, help="learning rate (default 1.0 for identity, 0.1 for rule)")
     parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    parser.add_argument("--max-restarts", type=_non_negative_int, default=50, help="restart budget per run, rule experiment only (default 50)")
+    parser.add_argument("--max-restarts", type=int, default=None, help="restart budget per run below 100%% training accuracy (default 0 for identity, 50 for rule)")
     parser.add_argument("--format", default="md", choices=FORMATS, help="report format (default md)")
     parser.add_argument("--out", default=None, metavar="PATH", help="report destination (default stdout)")
-    parser.add_argument("--filter-width", type=_odd_positive_int, default=5, help="filter width for the identity conv network (default 5)")
+    parser.add_argument("--filter-width", type=int, default=5, help="filter width for the identity conv network (default 5)")
     parser.add_argument("--export-dataset", default=None, metavar="PATH", help="also write the experiment's dataset as CSV")
     args = parser.parse_args(argv)
 
-    architectures = ARCHITECTURES if args.arch == "both" else (args.arch,)
-    config = TrainConfig(
-        epochs=args.epochs,
-        learning_rate=args.lr if args.lr is not None else DEFAULT_LEARNING_RATES[args.experiment],
-        loss=DEFAULT_LOSSES[args.experiment],
-        max_restarts=args.max_restarts,
-    )
-    return ExperimentSpec(
-        experiment=args.experiment,
-        architectures=architectures,
-        runs=args.runs,
-        train=config,
-        master_seed=args.seed,
-        output_format=args.format,
-        output_path=args.out,
-        filter_width=args.filter_width,
-        export_dataset=args.export_dataset,
-    )
+    try:
+        config = TrainConfig(
+            epochs=args.epochs,
+            learning_rate=args.lr if args.lr is not None else DEFAULT_LEARNING_RATES[args.experiment],
+            max_restarts=args.max_restarts if args.max_restarts is not None else DEFAULT_MAX_RESTARTS[args.experiment],
+        )
+        spec = ExperimentSpec(
+            experiment=args.experiment,
+            architectures=ARCHITECTURES if args.arch == "both" else (args.arch,),
+            runs=args.runs,
+            train=config,
+            master_seed=args.seed,
+            filter_width=args.filter_width,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+    return spec, args
 
 
 def main(argv=None) -> int:
-    spec = parse_cli(argv)
+    spec, args = parse_cli(argv)
     try:
-        if spec.export_dataset is not None:
-            _write_text(dataset_to_csv(make_dataset(spec.experiment)), spec.export_dataset)
+        if args.export_dataset is not None:
+            _write_text(dataset_to_csv(make_dataset(spec.experiment)), args.export_dataset)
         report = run_experiment(spec)
-        write_report(report, spec.output_format, spec.output_path)
+        write_report(report, args.format, args.out)
     except OSError as exc:
-        target = getattr(exc, "filename", None) or spec.output_path or spec.export_dataset
+        target = getattr(exc, "filename", None) or args.out or args.export_dataset
         print(f"symnet: error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     return 0

@@ -6,7 +6,8 @@ convolution and pooling activations are ``(channels, positions)`` or
 it saw in ``forward`` plus the upstream gradient and returns gradients whose
 shapes mirror the parameters / input exactly.  Layers hold their parameters
 but never mutate them during forward/backward; updates happen in
-``training.gd_step``.
+``training.gd_step``.  Networks drive every stage through the one
+protocol that ``Stage`` defines.
 """
 
 from __future__ import annotations
@@ -46,13 +47,49 @@ class ConvGradients:
     d_input: np.ndarray
 
 
-LayerGradients = DenseGradients | ConvGradients
+class Stage:
+    """The protocol every stage follows, wrapped around its own forward/backward.
+
+    ``params`` names the stage's parameter arrays (empty for stages without);
+    ``step(x) -> (y, cache)`` runs ``forward`` and keeps what backward needs;
+    ``backprop(cache, upstream) -> (d_input, record)`` runs ``backward``, and
+    ``record`` holds ``d_<name>`` for each name in ``params``, or is None.
+    The defaults fit stages whose ``backward`` needs only the upstream.
+    """
+
+    params: tuple[str, ...] = ()
+
+    def step(self, x) -> tuple[np.ndarray, object]:
+        return self.forward(x), None
+
+    def backprop(self, cache, upstream) -> tuple[np.ndarray, object]:
+        return self.backward(upstream), None
 
 
-class DenseLayer:
+class ParametricStage(Stage):
+    """A stage with trainable arrays: ``backward(x, upstream)`` returns a
+    gradient record, and ``bias`` is the one parameter that starts at zero."""
+
+    def step(self, x) -> tuple[np.ndarray, np.ndarray]:
+        return self.forward(x), x
+
+    def backprop(self, cache, upstream):
+        grads = self.backward(cache, upstream)
+        return grads.d_input, grads
+
+    def reinitialize(self, rng: SeededRng, half_width: float = 0.5) -> None:
+        """Redraws every non-bias parameter, in ``params`` order, and zeroes the bias."""
+        for name in self.params:
+            old = getattr(self, name)
+            setattr(self, name, np.zeros_like(old) if name == "bias" else init_uniform(rng, old.shape, half_width))
+
+
+class DenseLayer(ParametricStage):
     """Fully connected layer, y = W x + b, with an individual weight per
     input/output pair.  Pre-activation only; nonlinearities are separate
     stages."""
+
+    params = ("weights", "bias")
 
     def __init__(self, weights, bias):
         self.weights = tensor(weights)
@@ -73,10 +110,6 @@ class DenseLayer:
     @classmethod
     def from_rng(cls, rng: SeededRng, in_units: int, out_units: int, half_width: float = 0.5) -> "DenseLayer":
         return cls(init_uniform(rng, (out_units, in_units), half_width), np.zeros(out_units))
-
-    def reinitialize(self, rng: SeededRng, half_width: float = 0.5) -> None:
-        self.weights = init_uniform(rng, self.weights.shape, half_width)
-        self.bias = np.zeros_like(self.bias)
 
     def forward(self, x) -> np.ndarray:
         xb, single = _as_batch(x, 1, "dense forward")
@@ -100,7 +133,7 @@ class DenseLayer:
         return DenseGradients(d_weights, d_bias, d_input[0] if single else d_input)
 
 
-class Conv1DLayer:
+class Conv1DLayer(ParametricStage):
     """1-D convolution with the same filter weights applied at every position.
 
     ``filters`` has shape (out_channels, in_channels, width) and one bias per
@@ -108,6 +141,8 @@ class Conv1DLayer:
     the position count (width must be odd so outputs align with inputs);
     ``none`` yields positions - width + 1 outputs.
     """
+
+    params = ("filters", "bias")
 
     def __init__(self, filters, bias, padding: str = PADDING_SAME):
         self.filters = tensor(filters)
@@ -146,10 +181,6 @@ class Conv1DLayer:
     ) -> "Conv1DLayer":
         filters = init_uniform(rng, (out_channels, in_channels, width), half_width)
         return cls(filters, np.zeros(out_channels), padding)
-
-    def reinitialize(self, rng: SeededRng, half_width: float = 0.5) -> None:
-        self.filters = init_uniform(rng, self.filters.shape, half_width)
-        self.bias = np.zeros_like(self.bias)
 
     def _padded(self, xb: np.ndarray) -> np.ndarray:
         if self.padding == PADDING_NONE:
@@ -212,7 +243,7 @@ class Conv1DLayer:
         return ConvGradients(d_filters, d_bias, d_input[0] if single else d_input)
 
 
-class GlobalMaxPool:
+class GlobalMaxPool(Stage):
     """Passes the maximum value in each channel across all positions.
 
     Ties break toward the lowest position index so gradients are
@@ -233,6 +264,14 @@ class GlobalMaxPool:
             return pooled[0], argmax[0]
         return pooled, argmax
 
+    def step(self, x) -> tuple[np.ndarray, tuple[np.ndarray, int]]:
+        pooled, argmax = self.forward(x)
+        return pooled, (argmax, np.shape(x)[-1])
+
+    def backprop(self, cache, upstream) -> tuple[np.ndarray, None]:
+        argmax, positions = cache
+        return self.backward(argmax, upstream, positions), None
+
     def backward(self, argmax, upstream, positions: int) -> np.ndarray:
         """Routes each channel's upstream value to its argmax position."""
         ub, single = _as_batch(upstream, 1, "max pool backward")
@@ -247,7 +286,7 @@ class GlobalMaxPool:
         return d_input[0] if single else d_input
 
 
-class Sigmoid:
+class Sigmoid(Stage):
     """Elementwise logistic output stage."""
 
     def forward(self, x) -> np.ndarray:
@@ -257,16 +296,27 @@ class Sigmoid:
         # derivative expressed through the cached forward output
         return upstream * output * (1.0 - output)
 
+    def step(self, x) -> tuple[np.ndarray, np.ndarray]:
+        y = self.forward(x)
+        return y, y
 
-class Softmax:
-    """Softmax over the last axis.  Trained jointly with cross-entropy, so
-    it has no standalone backward; the loss supplies the logits gradient."""
+    def backprop(self, cache, upstream) -> tuple[np.ndarray, None]:
+        return self.backward(cache, upstream), None
+
+
+class Softmax(Stage):
+    """Softmax over the last axis: an output head that turns logits into
+    class probabilities.  It has no backward; networks train on the logits
+    with a loss that applies the softmax itself."""
 
     def forward(self, x) -> np.ndarray:
         return softmax(x, axis=-1)
 
+    def backprop(self, cache, upstream):
+        raise ValueError("softmax has no backward; train on logits with the cross_entropy loss")
 
-class Reshape:
+
+class Reshape(Stage):
     """Reshapes instance dims, passing a leading batch dim through untouched."""
 
     def __init__(self, shape_in, shape_out):
@@ -289,7 +339,7 @@ class Reshape:
         return self._map(np.asarray(upstream, dtype=np.float64), self.shape_out, self.shape_in, "reshape backward")
 
 
-class Transpose:
+class Transpose(Stage):
     """Swaps the last two axes (channels-by-positions vs positions-by-channels)."""
 
     def forward(self, x) -> np.ndarray:

@@ -43,19 +43,6 @@ def _require_finite(op: str, arr: np.ndarray) -> None:
         raise ValueError(f"{op}: non-finite values in result")
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two 2-D tensors, c[i][j] = sum_t a[i][t] * b[t][j]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
-    out = a @ b
-    _require_finite("matmul", out)
-    return out
-
-
 def sigmoid(x) -> np.ndarray:
     """Elementwise logistic function 1 / (1 + exp(-x)).
 

@@ -14,19 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from symnet.layers import (
-    Conv1DLayer,
-    ConvGradients,
-    DenseGradients,
-    DenseLayer,
-    GlobalMaxPool,
-    LayerGradients,
-    Reshape,
-    Sigmoid,
-    Softmax,
-    Transpose,
-)
-from symnet.ndcore import SeededRng, ShapeError
+from symnet.layers import Softmax
+from symnet.ndcore import SeededRng, ShapeError, softmax
 
 PROB_FLOOR = 1e-12
 
@@ -46,7 +35,7 @@ def cross_entropy(probabilities, targets) -> tuple[float, np.ndarray]:
 
     The returned gradient is taken with respect to the logits feeding the
     softmax that produced ``probabilities`` (the two derivatives cancel to
-    p - t), so backpropagation must start below the softmax stage.
+    p - t), so backpropagation must start below the softmax.
     """
     p = np.asarray(probabilities, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
@@ -56,17 +45,14 @@ def cross_entropy(probabilities, targets) -> tuple[float, np.ndarray]:
     return loss, p - t
 
 
-LOSSES = {"squared_error": squared_error, "cross_entropy": cross_entropy}
+def softmax_cross_entropy(logits, targets) -> tuple[float, np.ndarray]:
+    """cross_entropy of softmax(logits); the gradient is at the logits."""
+    return cross_entropy(softmax(logits, axis=-1), targets)
 
 
-@dataclass(eq=False)
-class StageTrace:
-    """One stage's input and output from a forward pass, kept for backward."""
-
-    stage: object
-    x: np.ndarray
-    y: np.ndarray
-    argmax: np.ndarray | None = None  # max pool only
+# Every loss takes the network's trained output and returns (loss, gradient
+# at that output).  Cross-entropy nets train on logits; see Network.head.
+LOSSES = {"squared_error": squared_error, "cross_entropy": softmax_cross_entropy}
 
 
 def _data_arrays(data) -> tuple[np.ndarray, np.ndarray]:
@@ -80,106 +66,77 @@ def _data_arrays(data) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Network:
-    """A straight pipeline of stages applied in order.
+    """A straight pipeline of stages applied in order, trained on ``loss``.
 
-    Parameters live on the Dense/Conv1D stages; Sigmoid, Softmax, pooling
-    and the reshape/transpose plumbing carry none.  ``backward_pass``
+    Parameters live on the stages with non-empty ``params``.  The stages
+    end at the output the loss sees; a cross-entropy network's stages end
+    at logits and ``predict`` adds a Softmax head.  ``backward_pass``
     returns one gradient record per parametric stage, in forward order,
     with gradients already summed over the batch.
     """
 
-    def __init__(self, stages, architecture: str | None = None):
+    def __init__(self, stages, architecture: str | None = None, loss: str = "squared_error"):
         self.stages = list(stages)
         self.architecture = architecture
+        self.loss = loss
         if not self.stages:
             raise ValueError("network needs at least one stage")
+        if loss not in LOSSES:
+            raise ValueError(f"unknown loss {loss!r}; expected one of {sorted(LOSSES)}")
+        self.head = Softmax() if loss == "cross_entropy" else None
 
     @property
-    def parametric_stages(self) -> list[DenseLayer | Conv1DLayer]:
-        return [s for s in self.stages if isinstance(s, (DenseLayer, Conv1DLayer))]
+    def parametric_stages(self) -> list:
+        return [s for s in self.stages if s.params]
 
     def parameter_count(self) -> int:
-        total = 0
-        for stage in self.parametric_stages:
-            if isinstance(stage, DenseLayer):
-                total += stage.weights.size + stage.bias.size
-            else:
-                total += stage.filters.size + stage.bias.size
-        return total
+        return sum(getattr(stage, name).size for stage in self.stages for name in stage.params)
 
     def reinitialize(self, rng: SeededRng, half_width: float = 0.5) -> None:
         """Redraws every parametric stage, in forward order, from ``rng``."""
         for stage in self.parametric_stages:
             stage.reinitialize(rng, half_width)
 
-    def forward_pass(self, x) -> list[StageTrace]:
-        traces: list[StageTrace] = []
+    def forward_pass(self, x) -> tuple[np.ndarray, list]:
+        """Returns the output the loss sees and one cache per stage."""
         value = np.asarray(x, dtype=np.float64)
+        caches = []
         for stage in self.stages:
-            if isinstance(stage, GlobalMaxPool):
-                pooled, argmax = stage.forward(value)
-                traces.append(StageTrace(stage, value, pooled, argmax))
-                value = pooled
-            else:
-                out = stage.forward(value)
-                traces.append(StageTrace(stage, value, out))
-                value = out
-        return traces
+            value, cache = stage.step(value)
+            caches.append(cache)
+        return value, caches
 
     def predict(self, x) -> np.ndarray:
-        return self.forward_pass(x)[-1].y
+        y = self.forward_pass(x)[0]
+        return y if self.head is None else self.head.forward(y)
 
-    def backward_pass(self, traces: list[StageTrace], upstream, skip_softmax: bool = False) -> list[LayerGradients]:
-        """Walks the traces in reverse, chaining input gradients.
-
-        With ``skip_softmax`` the caller asserts ``upstream`` is already the
-        gradient at the softmax's input (the fused cross-entropy case), so a
-        trailing Softmax stage is passed over untouched.
-        """
-        if len(traces) != len(self.stages):
-            raise ValueError(f"expected {len(self.stages)} traces, got {len(traces)}")
+    def backward_pass(self, caches: list, upstream) -> list:
+        """Walks the stages in reverse, chaining input gradients from the
+        gradient at the output of ``forward_pass``."""
+        if len(caches) != len(self.stages):
+            raise ValueError(f"expected {len(self.stages)} caches, got {len(caches)}")
         grad = np.asarray(upstream, dtype=np.float64)
-        collected: list[LayerGradients] = []
-        for position, trace in enumerate(reversed(traces)):
-            stage = trace.stage
-            if isinstance(stage, Softmax):
-                if not (skip_softmax and position == 0):
-                    raise ValueError("softmax backward is only defined fused with cross_entropy at the output")
-                continue
-            if isinstance(stage, Sigmoid):
-                grad = stage.backward(trace.y, grad)
-            elif isinstance(stage, (Reshape, Transpose)):
-                grad = stage.backward(grad)
-            elif isinstance(stage, GlobalMaxPool):
-                grad = stage.backward(trace.argmax, grad, trace.x.shape[-1])
-            elif isinstance(stage, (DenseLayer, Conv1DLayer)):
-                grads = stage.backward(trace.x, grad)
-                collected.append(grads)
-                grad = grads.d_input
-            else:
-                raise TypeError(f"no backward rule for stage {type(stage).__name__}")
+        collected = []
+        for stage, cache in zip(reversed(self.stages), reversed(caches)):
+            grad, record = stage.backprop(cache, grad)
+            if record is not None:
+                collected.append(record)
         collected.reverse()
         return collected
 
 
-def gd_step(network: Network, gradients: list[LayerGradients], learning_rate: float) -> Network:
-    """Applies one plain gradient-descent update to every parametric stage."""
+def gd_step(network: Network, gradients: list, learning_rate: float) -> Network:
+    """Applies one plain gradient-descent update to every parametric stage,
+    reading each parameter's gradient from its record's ``d_<name>``."""
     stages = network.parametric_stages
     if len(gradients) != len(stages):
         raise ValueError(f"got {len(gradients)} gradient records for {len(stages)} parametric stages")
-    for stage, grad in zip(stages, gradients):
-        if isinstance(grad, DenseGradients):
-            if grad.d_weights.shape != stage.weights.shape or grad.d_bias.shape != stage.bias.shape:
-                raise ShapeError(f"gradient shapes {grad.d_weights.shape}/{grad.d_bias.shape} do not match layer")
-            stage.weights = stage.weights - learning_rate * grad.d_weights
-            stage.bias = stage.bias - learning_rate * grad.d_bias
-        elif isinstance(grad, ConvGradients):
-            if grad.d_filters.shape != stage.filters.shape or grad.d_bias.shape != stage.bias.shape:
-                raise ShapeError(f"gradient shapes {grad.d_filters.shape}/{grad.d_bias.shape} do not match layer")
-            stage.filters = stage.filters - learning_rate * grad.d_filters
-            stage.bias = stage.bias - learning_rate * grad.d_bias
-        else:
-            raise TypeError(f"unknown gradient record {type(grad).__name__}")
+    for stage, record in zip(stages, gradients):
+        for name in stage.params:
+            value, grad = getattr(stage, name), getattr(record, f"d_{name}")
+            if grad.shape != value.shape:
+                raise ShapeError(f"gradient d_{name} shape {grad.shape} does not match parameter {value.shape}")
+            setattr(stage, name, value - learning_rate * grad)
     return network
 
 
@@ -212,7 +169,6 @@ def evaluate(network: Network, data, cutoff: float = 0.5) -> float:
 class TrainConfig:
     epochs: int = 1000
     learning_rate: float = 1.0
-    loss: str = "squared_error"
     max_restarts: int = 0
 
     def __post_init__(self):
@@ -222,8 +178,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
-        if self.loss not in LOSSES:
-            raise ValueError(f"unknown loss {self.loss!r}; expected one of {sorted(LOSSES)}")
 
 
 @dataclass(eq=False)
@@ -242,15 +196,15 @@ def train(network: Network, data, config: TrainConfig, rng: SeededRng | None = N
     accuracy below 100% (or whose loss stops being finite) is retried from
     freshly drawn weights, at most ``config.max_restarts`` times.  ``rng``
     is only needed when restarts are allowed; ``data`` is a dataset split
-    or an (inputs, targets) pair.  The network is trained in place.
+    or an (inputs, targets) pair.  The network is trained in place, on its
+    own loss.
     """
     inputs, targets = _data_arrays(data)
     if inputs.shape[0] == 0:
         raise ValueError("train: empty instance set")
     if config.max_restarts > 0 and rng is None:
         raise ValueError("restarts need an rng to redraw weights")
-    loss_fn = LOSSES[config.loss]
-    fused = config.loss == "cross_entropy"
+    loss_fn = LOSSES[network.loss]
 
     for attempt in range(config.max_restarts + 1):
         if attempt > 0:
@@ -258,19 +212,18 @@ def train(network: Network, data, config: TrainConfig, rng: SeededRng | None = N
         losses: list[float] = []
         diverged = False
         for _ in range(config.epochs):
-            traces = network.forward_pass(inputs)
-            loss, d_out = loss_fn(traces[-1].y, targets)
+            outputs, caches = network.forward_pass(inputs)
+            loss, d_out = loss_fn(outputs, targets)
             losses.append(loss)
             if not math.isfinite(loss):
                 diverged = True
                 break
-            gradients = network.backward_pass(traces, d_out, skip_softmax=fused)
-            gd_step(network, gradients, config.learning_rate)
+            gd_step(network, network.backward_pass(caches, d_out), config.learning_rate)
         if diverged:
             final_loss = losses[-1]
             reached = False
         else:
-            final_loss = loss_fn(network.predict(inputs), targets)[0]
+            final_loss = loss_fn(network.forward_pass(inputs)[0], targets)[0]
             reached = evaluate(network, (inputs, targets)) == 1.0
         if reached or attempt == config.max_restarts:
             return TrainResult(losses=losses, restarts=attempt, reached_criterion=reached, final_loss=final_loss)

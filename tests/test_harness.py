@@ -1,6 +1,7 @@
 """Experiment runner: network construction, seeding, reports, CLI."""
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,6 @@ from symnet.harness import (
     execute_run,
     main,
     parse_cli,
-    parse_report,
     render_csv,
     render_json,
     render_markdown,
@@ -85,27 +85,32 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(experiment="identity", runs=0)
         with pytest.raises(ValueError):
-            ExperimentSpec(experiment="identity", output_format="yaml")
-        with pytest.raises(ValueError):
             ExperimentSpec(experiment="identity", filter_width=2)
 
     def test_experiment_defaults(self):
         identity = resolved_train_config(ExperimentSpec(experiment="identity"))
         assert identity.learning_rate == 1.0
-        assert identity.loss == "squared_error"
         assert identity.max_restarts == 0
         rule = resolved_train_config(ExperimentSpec(experiment="rule"))
         assert rule.learning_rate == 0.1
-        assert rule.loss == "cross_entropy"
         assert rule.max_restarts == 50
 
-    def test_identity_never_restarts_even_when_asked(self):
+    def test_identity_max_restarts_is_honoured(self):
         spec = ExperimentSpec(experiment="identity", train=TrainConfig(max_restarts=50))
-        assert resolved_train_config(spec).max_restarts == 0
+        assert resolved_train_config(spec).max_restarts == 50
+        assert parse_cli(["--experiment", "identity", "--max-restarts", "3"])[0].train.max_restarts == 3
+        # an unlearnable step size uses up the whole budget, so every restart shows in the row
+        row = execute_run("identity", "dense", 0, 1, TrainConfig(epochs=2, learning_rate=1e-9, max_restarts=2))
+        assert row.restarts == 2 and row.failed
 
     def test_loss_follows_experiment_not_override(self):
-        spec = ExperimentSpec(experiment="rule", train=TrainConfig(loss="squared_error", learning_rate=0.1))
-        assert resolved_train_config(spec).loss == "cross_entropy"
+        # the loss is a property of the network build_network makes; no
+        # training option can override it
+        for arch in ("dense", "conv"):
+            assert build_network("identity", arch, SeededRng(0)).loss == "squared_error"
+            assert build_network("rule", arch, SeededRng(0)).loss == "cross_entropy"
+        with pytest.raises(TypeError):
+            TrainConfig(loss="squared_error")
 
 
 class TestSeeding:
@@ -184,8 +189,9 @@ class TestReports:
         assert md.index("Unconstrained") < md.index("Convolutional")
 
     def test_json_round_trips(self):
+        # every field of the report, floats included, survives a JSON load
         report = run_experiment(small_spec(architectures=("dense", "conv"), runs=2))
-        assert parse_report(render_json(report)) == report
+        assert json.loads(render_json(report)) == asdict(report)
 
     def test_json_is_plain_data(self):
         payload = json.loads(render_json(run_experiment(small_spec(runs=1))))
@@ -212,20 +218,21 @@ class TestReports:
 
 class TestParseCli:
     def test_defaults_resolve_per_experiment(self):
-        spec = parse_cli(["--experiment", "identity"])
+        spec, args = parse_cli(["--experiment", "identity"])
         assert spec.architectures == ("dense", "conv")
         assert spec.runs == 100
         assert spec.train.learning_rate == 1.0
-        assert spec.train.loss == "squared_error"
-        assert spec.output_format == "md"
-        assert spec.output_path is None
+        assert spec.train.max_restarts == 0
+        assert args.format == "md"
+        assert args.out is None
+        assert args.export_dataset is None
         assert spec.filter_width == 5
-        rule = parse_cli(["--experiment", "rule"])
+        rule, _ = parse_cli(["--experiment", "rule"])
         assert rule.train.learning_rate == 0.1
-        assert rule.train.loss == "cross_entropy"
+        assert rule.train.max_restarts == 50
 
     def test_explicit_flags_override(self):
-        spec = parse_cli([
+        spec, args = parse_cli([
             "--experiment", "rule", "--arch", "conv", "--runs", "7", "--epochs", "200",
             "--lr", "0.05", "--seed", "9", "--max-restarts", "3", "--format", "csv",
             "--out", "x.csv", "--export-dataset", "d.csv",
@@ -236,9 +243,9 @@ class TestParseCli:
         assert spec.train.learning_rate == 0.05
         assert spec.train.max_restarts == 3
         assert spec.master_seed == 9
-        assert spec.output_format == "csv"
-        assert spec.output_path == "x.csv"
-        assert spec.export_dataset == "d.csv"
+        assert args.format == "csv"
+        assert args.out == "x.csv"
+        assert args.export_dataset == "d.csv"
 
     @pytest.mark.parametrize(
         "argv",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from symnet.ndcore import SeededRng, ShapeError, derive_seed, init_uniform, matmul, sigmoid, softmax, tensor
+from symnet.ndcore import SeededRng, ShapeError, derive_seed, init_uniform, sigmoid, softmax, tensor
 
 
 class TestTensor:
@@ -21,53 +21,6 @@ class TestTensor:
     def test_explicit_shape_must_match(self):
         with pytest.raises(ShapeError):
             tensor([1.0, 2.0, 3.0], shape=(2, 2))
-
-
-class TestMatmul:
-    def test_identity_passthrough(self):
-        x = np.array([[3.0], [4.0]])
-        assert np.array_equal(matmul(np.eye(2), x), x)
-
-    def test_zero_annihilates(self):
-        rng = np.random.default_rng(3)
-        b = rng.uniform(-1, 1, (2, 2))
-        assert np.array_equal(matmul(np.zeros((2, 2)), b), np.zeros((2, 2)))
-
-    def test_hand_computed_product(self):
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [5.0]]))
-        assert out.shape == (1, 1)
-        assert out[0, 0] == 13.0
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            m, k, n = rng.integers(1, 5, size=3)
-            a = rng.uniform(-2, 2, (m, k))
-            b = rng.uniform(-2, 2, (k, n))
-            want = np.zeros((m, n))
-            for i in range(m):
-                for j in range(n):
-                    for t in range(k):
-                        want[i, j] += a[i, t] * b[t, j]
-            assert np.allclose(matmul(a, b), want, rtol=0, atol=1e-12)
-
-    def test_associative_within_tolerance(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            a = rng.uniform(-1, 1, (3, 4))
-            b = rng.uniform(-1, 1, (4, 2))
-            c = rng.uniform(-1, 1, (2, 5))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.max(np.abs(left - right)) <= 1e-9 * max(1.0, np.max(np.abs(right)))
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"2, 3.*4, 2"):
-            matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros(3), np.zeros((3, 1)))
 
 
 class TestSigmoid:

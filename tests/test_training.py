@@ -7,9 +7,10 @@ import pytest
 
 from _helpers import fd_grad, max_rel_err
 from symnet.layers import Conv1DLayer, DenseGradients, DenseLayer, GlobalMaxPool, Sigmoid, Softmax, Transpose
-from symnet.ndcore import SeededRng, ShapeError, softmax
+from symnet.ndcore import SeededRng, ShapeError, derive_seed, softmax
 from symnet.tasks import make_identity_dataset, make_rule_dataset
 from symnet.training import (
+    LOSSES,
     Network,
     TrainConfig,
     cross_entropy,
@@ -106,10 +107,12 @@ class TestNetwork:
     def test_forward_pass_records_every_stage(self):
         net = build_network("rule", "conv", SeededRng(0))
         x = make_rule_dataset().train.inputs[0]
-        traces = net.forward_pass(x)
-        assert len(traces) == len(net.stages)
-        assert traces[-1].y.shape == (2,)
-        assert traces[-1].y.sum() == pytest.approx(1.0, abs=1e-12)
+        logits, caches = net.forward_pass(x)
+        assert len(caches) == len(net.stages)
+        assert logits.shape == (2,)
+        # the softmax head runs in predict only, on the trained logits
+        assert np.array_equal(net.predict(x), softmax(logits))
+        assert net.predict(x).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_parameter_counts(self):
         assert build_network("identity", "dense", SeededRng(0)).parameter_count() == 30
@@ -118,10 +121,42 @@ class TestNetwork:
         assert build_network("rule", "dense", SeededRng(0)).parameter_count() == 36 * 24 + 24
 
     def test_softmax_backward_requires_fused_loss(self):
+        # a Softmax stage inside the trained pipeline cannot be backpropagated;
+        # the cross_entropy loss applies the softmax to the logits itself
         net = Network([DenseLayer(np.ones((2, 2)), np.zeros(2)), Softmax()])
-        traces = net.forward_pass([1.0, 2.0])
+        _, caches = net.forward_pass([1.0, 2.0])
         with pytest.raises(ValueError):
-            net.backward_pass(traces, np.ones(2), skip_softmax=False)
+            net.backward_pass(caches, np.ones(2))
+
+    def test_unknown_loss_rejected(self):
+        with pytest.raises(ValueError):
+            Network([Sigmoid()], loss="hinge")
+
+    @pytest.mark.parametrize("experiment,architecture", [
+        ("identity", "dense"), ("identity", "conv"), ("rule", "dense"), ("rule", "conv"),
+    ])
+    def test_composed_backward_matches_finite_differences(self, experiment, architecture):
+        # the whole chain train() runs: forward_pass, the network's loss, then
+        # backward_pass through reshape/transpose, max pool and the
+        # logits-level softmax cross-entropy, checked on every parameter
+        net = build_network(experiment, architecture, SeededRng(derive_seed(3, experiment, architecture)))
+        data = (make_identity_dataset() if experiment == "identity" else make_rule_dataset()).train
+        loss_fn = LOSSES[net.loss]
+        outputs, caches = net.forward_pass(data.inputs)
+        records = net.backward_pass(caches, loss_fn(outputs, data.targets)[1])
+
+        for stage, record in zip(net.parametric_stages, records):
+            for name in stage.params:
+                original = getattr(stage, name)
+
+                def loss_at(value):
+                    setattr(stage, name, value)
+                    try:
+                        return loss_fn(net.forward_pass(data.inputs)[0], data.targets)[0]
+                    finally:
+                        setattr(stage, name, original)
+
+                assert max_rel_err(getattr(record, f"d_{name}"), fd_grad(loss_at, original)) <= 1e-6, name
 
     def test_reinitialize_is_deterministic_and_changes_weights(self):
         a = build_network("identity", "dense", SeededRng(7))
@@ -137,15 +172,15 @@ class TestNetwork:
         net = Network([DenseLayer(rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, 3)), Sigmoid()])
         xb = rng.uniform(-1, 1, (5, 4))
         tb = rng.uniform(0, 1, (5, 3))
-        traces = net.forward_pass(xb)
-        _, d_out = squared_error(traces[-1].y, tb)
-        batched = net.backward_pass(traces, d_out)[0]
+        y, caches = net.forward_pass(xb)
+        _, d_out = squared_error(y, tb)
+        batched = net.backward_pass(caches, d_out)[0]
         summed_w = np.zeros((3, 4))
         summed_b = np.zeros(3)
         for i in range(5):
-            tr = net.forward_pass(xb[i])
-            _, d = squared_error(tr[-1].y, tb[i])
-            g = net.backward_pass(tr, d)[0]
+            y, caches = net.forward_pass(xb[i])
+            _, d = squared_error(y, tb[i])
+            g = net.backward_pass(caches, d)[0]
             summed_w += g.d_weights
             summed_b += g.d_bias
         assert np.allclose(batched.d_weights, summed_w, rtol=0, atol=1e-12)
@@ -212,8 +247,6 @@ class TestTrainConfig:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(max_restarts=-1)
-        with pytest.raises(ValueError):
-            TrainConfig(loss="hinge")
 
 
 class TestTrain:
@@ -280,9 +313,9 @@ class TestTrain:
         net = build_network("identity", "dense", SeededRng(77))
         w0 = net.parametric_stages[0].weights.copy()
         b0 = net.parametric_stages[0].bias.copy()
-        traces = net.forward_pass(ds.train.inputs)
-        _, d_out = squared_error(traces[-1].y, ds.train.targets)
-        g = net.backward_pass(traces, d_out)[0]
+        y, caches = net.forward_pass(ds.train.inputs)
+        _, d_out = squared_error(y, ds.train.targets)
+        g = net.backward_pass(caches, d_out)[0]
         want_w = w0 - 0.25 * g.d_weights
         want_b = b0 - 0.25 * g.d_bias
         net2 = build_network("identity", "dense", SeededRng(77))
@@ -295,7 +328,7 @@ class TestTrain:
         for _ in range(2):
             rng = SeededRng(31)
             net = build_network("rule", "conv", rng)
-            train(net, make_rule_dataset().train, TrainConfig(epochs=50, learning_rate=0.1, loss="cross_entropy"), rng)
+            train(net, make_rule_dataset().train, TrainConfig(epochs=50, learning_rate=0.1), rng)
             results.append(net.parametric_stages[0].filters.copy())
         assert np.array_equal(results[0], results[1])
 
@@ -304,9 +337,9 @@ class TestTrain:
         net = Network([layer])
         inputs = np.array([[1.0]])
         targets = np.array([[3.0]])  # 2*1 + 1 = 3, already perfect
-        traces = net.forward_pass(inputs)
-        loss, d_out = squared_error(traces[-1].y, targets)
+        y, caches = net.forward_pass(inputs)
+        loss, d_out = squared_error(y, targets)
         assert loss == 0.0
-        gd_step(net, net.backward_pass(traces, d_out), 1.0)
+        gd_step(net, net.backward_pass(caches, d_out), 1.0)
         assert abs(layer.weights[0, 0] - 2.0) <= 1e-12
         assert abs(layer.bias[0] - 1.0) <= 1e-12
