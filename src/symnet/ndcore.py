@@ -3,7 +3,7 @@
 Every value flowing through the library is a C-order float64 ``numpy.ndarray``
 (shape plus row-major flat data).  Randomness comes from a self-contained
 xoshiro256** generator seeded through splitmix64, so identically seeded
-pipelines reproduce bit for bit across runs, platforms and numpy versions.
+draws reproduce bit for bit across runs, platforms and numpy versions.
 Gradients are hand-derived per layer; there is no autodiff and no
 broadcasting beyond what the fixed layer shapes need.
 """
