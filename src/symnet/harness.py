@@ -2,11 +2,14 @@
 
 Executes the 100-run protocol for one experiment, for one or both
 architectures, and renders the per-run and aggregate results as CSV, JSON,
-or a Markdown table.  Every run's seed is mixed from the master seed, the
-architecture id, and the run index, so reports are byte-identical across
-reruns and worker counts on the same numpy/BLAS build (dense layers contract
-through BLAS, whose kernels can round differently on other builds or CPUs),
-and enabling the second architecture never shifts the first one's streams.
+or a Markdown table.  The runs of one architecture train together as one
+ensemble along a leading run axis; with several workers each process
+trains a contiguous slice of that axis.  Every run's seed is mixed from the
+master seed, the architecture id, and the run index, so reports are
+byte-identical across reruns and worker counts on the same numpy/BLAS build
+(dense layers contract through BLAS, whose kernels can round differently on
+other builds or CPUs), and enabling the second architecture never shifts
+the first one's streams.
 """
 
 from __future__ import annotations
@@ -58,6 +61,8 @@ class ExperimentSpec:
             raise ValueError("runs must be >= 1")
         if self.filter_width < 1 or self.filter_width % 2 == 0:
             raise ValueError("filter width must be a positive odd integer")
+        if self.experiment == "rule" and self.filter_width != 5:
+            raise ValueError("filter_width sets the identity conv network only; rule nets use a width-1 conv")
 
 
 @dataclass
@@ -139,6 +144,40 @@ def build_network(experiment: str, architecture: str, rng: SeededRng, filter_wid
     return Network(stages, architecture=arch_id, loss=EXPERIMENT_LOSSES[experiment])
 
 
+def execute_runs(
+    experiment: str,
+    architecture: str,
+    run_indices,
+    seeds,
+    config: TrainConfig,
+    filter_width: int = 5,
+) -> list[RunReport]:
+    """Builds, trains, and evaluates seeded runs of one architecture, all
+    at once as one ensemble; run ``run_indices[r]`` draws from ``seeds[r]``.
+    Each row is pure in its own run index and seed, so reports can be
+    recomputed from the stored seed alone."""
+    dataset = make_dataset(experiment)
+    rngs = [SeededRng(seed) for seed in seeds]
+    ensemble = Network.stack([build_network(experiment, architecture, rng, filter_width) for rng in rngs])
+    results = train(ensemble, dataset.train, config, rngs)
+    train_accuracy = evaluate(ensemble, dataset.train)
+    test_accuracy = evaluate(ensemble, dataset.test)
+    return [
+        RunReport(
+            experiment=experiment,
+            architecture=architecture,
+            run_index=run_index,
+            seed=seed,
+            restarts=result.restarts,
+            train_accuracy=float(train_accuracy[r]),
+            test_accuracy=float(test_accuracy[r]),
+            final_loss=result.final_loss,
+            failed=not result.reached_criterion,
+        )
+        for r, (run_index, seed, result) in enumerate(zip(run_indices, seeds, results))
+    ]
+
+
 def execute_run(
     experiment: str,
     architecture: str,
@@ -147,27 +186,12 @@ def execute_run(
     config: TrainConfig,
     filter_width: int = 5,
 ) -> RunReport:
-    """Builds, trains, and evaluates one seeded run.  Pure in its arguments,
-    so reports can be recomputed from the stored seed alone."""
-    dataset = make_dataset(experiment)
-    rng = SeededRng(seed)
-    network = build_network(experiment, architecture, rng, filter_width)
-    result = train(network, dataset.train, config, rng)
-    return RunReport(
-        experiment=experiment,
-        architecture=architecture,
-        run_index=run_index,
-        seed=seed,
-        restarts=result.restarts,
-        train_accuracy=evaluate(network, dataset.train),
-        test_accuracy=evaluate(network, dataset.test),
-        final_loss=result.final_loss,
-        failed=not result.reached_criterion,
-    )
+    """One seeded run: ``execute_runs`` with a single member."""
+    return execute_runs(experiment, architecture, [run_index], [seed], config, filter_width)[0]
 
 
-def _execute_run_packed(args: tuple) -> RunReport:
-    return execute_run(*args)
+def _execute_slice(jobs: list[tuple]) -> list[RunReport]:
+    return [row for job in jobs for row in execute_runs(*job)]
 
 
 def _mean(values: list[float]) -> float | None:
@@ -179,21 +203,34 @@ def _mean(values: list[float]) -> float | None:
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentReport:
     """Runs spec.runs seeded runs per architecture and aggregates them.
 
-    Child seeds depend only on (master seed, architecture id, run index),
-    and rows are merged back in run order, so the report is a pure function
-    of its ExperimentSpec whatever the worker count.
+    The run axis is cut into ``workers`` contiguous slices, at most one per
+    run.  The calling process trains the first slice of every architecture
+    while a process pool trains the others, each slice as one ensemble per
+    architecture.  Child seeds depend only on (master seed,
+    architecture id, run index), every member of an ensemble computes
+    exactly what it would alone, and rows are merged back in run order, so
+    the report is a pure function of its ExperimentSpec whatever the worker
+    count.
     """
     config = resolved_train_config(spec)
-    jobs = [
-        (spec.experiment, arch, i, derive_seed(spec.master_seed, f"{spec.experiment}_{arch}", i), config, spec.filter_width)
-        for arch in spec.architectures
-        for i in range(spec.runs)
-    ]
-    if workers <= 1:
-        rows = [execute_run(*job) for job in jobs]
+    slices = min(max(workers, 1), spec.runs)
+    bounds = [spec.runs * s // slices for s in range(slices + 1)]
+    jobs = []
+    for s in range(slices):
+        indices = range(bounds[s], bounds[s + 1])
+        jobs.append([
+            (spec.experiment, arch, indices, [derive_seed(spec.master_seed, f"{spec.experiment}_{arch}", i) for i in indices],
+             config, spec.filter_width)
+            for arch in spec.architectures
+        ])
+    if slices == 1:
+        rows = _execute_slice(jobs[0])
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_execute_run_packed, jobs))
+        with ProcessPoolExecutor(max_workers=slices - 1) as pool:
+            futures = [pool.submit(_execute_slice, slice_jobs) for slice_jobs in jobs[1:]]
+            rows = _execute_slice(jobs[0])
+            for future in futures:
+                rows.extend(future.result())
 
     arch_reports = []
     for arch in spec.architectures:
@@ -311,7 +348,7 @@ def render_markdown(report: ExperimentReport) -> str:
     return "\n".join(lines)
 
 
-RENDERERS = {"csv": render_csv, "json": render_json, "md": render_markdown, "markdown": render_markdown}
+RENDERERS = {"csv": render_csv, "json": render_json, "md": render_markdown}
 
 
 def _write_text(text: str, path: str | None) -> None:

@@ -8,10 +8,20 @@ shapes mirror the parameters / input exactly.  Layers hold their parameters
 but never mutate them during forward/backward; updates happen in
 ``training.gd_step``.  Networks drive every stage through the one
 protocol that ``Stage`` defines.
+
+Parameters may carry a leading run axis: a dense layer with weights of
+shape ``(runs, out, in)`` is ``runs`` independent layers trained side by
+side.  Such a layer takes a batch shared by every member, ``(batch, in)``,
+or one batch per member, ``(runs, batch, in)``, and always returns one
+output per member, ``(runs, batch, out)``.  Each member's arithmetic is the
+one a plain layer does, in the same order, so members match independently
+trained networks bit for bit.  Parameter-free stages act on the trailing
+instance axes and pass any leading axes through.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -23,14 +33,32 @@ PADDING_SAME = "zero_same"
 PADDING_NONE = "none"
 
 
-def _as_batch(x, inner_ndim: int, what: str) -> tuple[np.ndarray, bool]:
-    """Promote a single instance to a batch of one; report which it was."""
+def _as_batch(x, inner_ndim: int, what: str, runs: int | None = None) -> tuple[np.ndarray, bool]:
+    """Promote a single instance to a batch of one; report which it was.
+
+    With ``runs`` members the input is a shared batch or one batch per
+    member, never a single instance.
+    """
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == inner_ndim:
-        return arr[None, ...], True
-    if arr.ndim == inner_ndim + 1:
+    if runs is None:
+        if arr.ndim == inner_ndim:
+            return arr[None, ...], True
+        if arr.ndim == inner_ndim + 1:
+            return arr, False
+        raise ShapeError(f"{what}: expected {inner_ndim}-D instance or {inner_ndim + 1}-D batch, got shape {arr.shape}")
+    if arr.ndim == inner_ndim + 1 or (arr.ndim == inner_ndim + 2 and arr.shape[0] == runs):
         return arr, False
-    raise ShapeError(f"{what}: expected {inner_ndim}-D instance or {inner_ndim + 1}-D batch, got shape {arr.shape}")
+    raise ShapeError(
+        f"{what}: expected a {inner_ndim + 1}-D shared batch or a {inner_ndim + 2}-D batch per each of {runs} runs, "
+        f"got shape {arr.shape}"
+    )
+
+
+def _batch_lead(xb: np.ndarray, inner_ndim: int, runs: int | None) -> tuple[int, ...]:
+    """The leading axes of a stage's output for the batched input ``xb``:
+    ``(batch,)``, or ``(runs, batch)`` when the parameters carry a run axis."""
+    lead = xb.shape[:-inner_ndim]
+    return lead if runs is None or len(lead) == 2 else (runs,) + lead
 
 
 @dataclass
@@ -68,7 +96,23 @@ class Stage:
 
 class ParametricStage(Stage):
     """A stage with trainable arrays: ``backward(x, upstream)`` returns a
-    gradient record, and ``bias`` is the one parameter that starts at zero."""
+    gradient record, and ``bias`` is the one parameter that starts at zero.
+    ``kernel_ndim`` is the rank of the first parameter without a run axis."""
+
+    kernel_ndim: int
+
+    @property
+    def runs(self) -> int | None:
+        """Members along the leading run axis, or None for a plain layer."""
+        kernel = getattr(self, self.params[0])
+        return kernel.shape[0] if kernel.ndim > self.kernel_ndim else None
+
+    def with_params(self, **arrays) -> "ParametricStage":
+        """A copy of this stage holding ``arrays`` in place of its parameters."""
+        clone = copy.copy(self)
+        for name, value in arrays.items():
+            setattr(clone, name, value)
+        return clone
 
     def step(self, x) -> tuple[np.ndarray, np.ndarray]:
         return self.forward(x), x
@@ -77,11 +121,20 @@ class ParametricStage(Stage):
         grads = self.backward(cache, upstream)
         return grads.d_input, grads
 
-    def reinitialize(self, rng: SeededRng, half_width: float = 0.5) -> None:
-        """Redraws every non-bias parameter, in ``params`` order, and zeroes the bias."""
+    def reinitialize(self, rng, half_width: float = 0.5) -> None:
+        """Redraws every non-bias parameter, in ``params`` order, and zeroes
+        the bias.  With a run axis ``rng`` holds one SeededRng per member,
+        and each member draws from its own."""
+        runs = self.runs
         for name in self.params:
             old = getattr(self, name)
-            setattr(self, name, np.zeros_like(old) if name == "bias" else init_uniform(rng, old.shape, half_width))
+            if name == "bias":
+                new = np.zeros_like(old)
+            elif runs is None:
+                new = init_uniform(rng, old.shape, half_width)
+            else:
+                new = np.stack([init_uniform(member, old.shape[1:], half_width) for member in rng])
+            setattr(self, name, new)
 
 
 class DenseLayer(ParametricStage):
@@ -90,46 +143,49 @@ class DenseLayer(ParametricStage):
     stages."""
 
     params = ("weights", "bias")
+    kernel_ndim = 2
 
     def __init__(self, weights, bias):
         self.weights = tensor(weights)
         self.bias = tensor(bias)
-        if self.weights.ndim != 2:
-            raise ShapeError(f"dense weights must be 2-D, got {self.weights.shape}")
-        if self.bias.shape != (self.weights.shape[0],):
+        if self.weights.ndim not in (2, 3):
+            raise ShapeError(f"dense weights must be 2-D, or 3-D with a leading run axis, got {self.weights.shape}")
+        if self.bias.shape != self.weights.shape[:-1]:
             raise ShapeError(f"dense bias {self.bias.shape} does not match weights {self.weights.shape}")
 
     @property
     def out_units(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
     @property
     def in_units(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
     @classmethod
     def from_rng(cls, rng: SeededRng, in_units: int, out_units: int, half_width: float = 0.5) -> "DenseLayer":
         return cls(init_uniform(rng, (out_units, in_units), half_width), np.zeros(out_units))
 
     def forward(self, x) -> np.ndarray:
-        xb, single = _as_batch(x, 1, "dense forward")
-        if xb.shape[1] != self.in_units:
+        """y = x W^T + b.  With a run axis, ``np.matmul`` makes the same BLAS
+        call on each member's slice that a plain layer makes on its own."""
+        xb, single = _as_batch(x, 1, "dense forward", self.runs)
+        if xb.shape[-1] != self.in_units:
             raise ShapeError(f"dense forward: input {xb.shape} does not match weights {self.weights.shape}")
-        y = xb @ self.weights.T + self.bias
+        y = np.matmul(xb, np.swapaxes(self.weights, -1, -2)) + self.bias[..., None, :]
         return y[0] if single else y
 
     def backward(self, x, upstream) -> DenseGradients:
         """dW[i][j] = upstream[i] * x[j], db = upstream, dx = W^T upstream,
         each summed over the batch where one is present."""
-        xb, single = _as_batch(x, 1, "dense backward")
-        ub, _ = _as_batch(upstream, 1, "dense backward")
-        if xb.shape[1] != self.in_units or ub.shape != (xb.shape[0], self.out_units):
+        xb, single = _as_batch(x, 1, "dense backward", self.runs)
+        ub, _ = _as_batch(upstream, 1, "dense backward", self.runs)
+        if xb.shape[-1] != self.in_units or ub.shape != _batch_lead(xb, 1, self.runs) + (self.out_units,):
             raise ShapeError(
                 f"dense backward: input {xb.shape} / upstream {ub.shape} do not match weights {self.weights.shape}"
             )
-        d_weights = ub.T @ xb
-        d_bias = ub.sum(axis=0)
-        d_input = ub @ self.weights
+        d_weights = np.matmul(np.swapaxes(ub, -1, -2), xb)
+        d_bias = ub.sum(axis=-2)
+        d_input = np.matmul(ub, self.weights)
         return DenseGradients(d_weights, d_bias, d_input[0] if single else d_input)
 
 
@@ -143,13 +199,14 @@ class Conv1DLayer(ParametricStage):
     """
 
     params = ("filters", "bias")
+    kernel_ndim = 3
 
     def __init__(self, filters, bias, padding: str = PADDING_SAME):
         self.filters = tensor(filters)
         self.bias = tensor(bias)
-        if self.filters.ndim != 3:
-            raise ShapeError(f"conv filters must be 3-D, got {self.filters.shape}")
-        if self.bias.shape != (self.filters.shape[0],):
+        if self.filters.ndim not in (3, 4):
+            raise ShapeError(f"conv filters must be 3-D, or 4-D with a leading run axis, got {self.filters.shape}")
+        if self.bias.shape != self.filters.shape[:-2]:
             raise ShapeError(f"conv bias {self.bias.shape} does not match filters {self.filters.shape}")
         if padding not in (PADDING_SAME, PADDING_NONE):
             raise ValueError(f"unknown padding mode {padding!r}")
@@ -159,15 +216,15 @@ class Conv1DLayer(ParametricStage):
 
     @property
     def out_channels(self) -> int:
-        return self.filters.shape[0]
+        return self.filters.shape[-3]
 
     @property
     def in_channels(self) -> int:
-        return self.filters.shape[1]
+        return self.filters.shape[-2]
 
     @property
     def width(self) -> int:
-        return self.filters.shape[2]
+        return self.filters.shape[-1]
 
     @classmethod
     def from_rng(
@@ -186,12 +243,22 @@ class Conv1DLayer(ParametricStage):
         if self.padding == PADDING_NONE:
             return xb
         pad = (self.width - 1) // 2
-        return np.pad(xb, ((0, 0), (0, 0), (pad, pad)))
+        padded = np.zeros(xb.shape[:-1] + (xb.shape[-1] + 2 * pad,))
+        padded[..., pad : pad + xb.shape[-1]] = xb
+        return padded
 
     def out_positions(self, positions: int) -> int:
         if self.padding == PADDING_SAME:
             return positions
         return positions - self.width + 1
+
+    def _batched_input(self, x, what: str) -> tuple[np.ndarray, bool]:
+        xb, single = _as_batch(x, 2, what, self.runs)
+        if xb.shape[-2] != self.in_channels:
+            raise ShapeError(f"{what}: input {xb.shape} does not match filters {self.filters.shape}")
+        if self.padding == PADDING_NONE and xb.shape[-1] < self.width:
+            raise ShapeError(f"{what}: {xb.shape[-1]} positions is fewer than filter width {self.width}")
+        return xb, single
 
     def forward(self, x) -> np.ndarray:
         """y[c][p] = b[c] + sum over (k, t) of filters[c][k][t] * x_padded[k][p + t].
@@ -201,43 +268,55 @@ class Conv1DLayer(ParametricStage):
         for different memory layouts, which would break bit-level
         reproducibility of whole training runs.
         """
-        xb, single = _as_batch(x, 2, "conv forward")
-        if xb.shape[1] != self.in_channels:
-            raise ShapeError(f"conv forward: input {xb.shape} does not match filters {self.filters.shape}")
-        if self.padding == PADDING_NONE and xb.shape[2] < self.width:
-            raise ShapeError(f"conv forward: {xb.shape[2]} positions is fewer than filter width {self.width}")
-        padded = self._padded(xb)
-        out_p = padded.shape[2] - self.width + 1
-        y = np.zeros((xb.shape[0], self.out_channels, out_p))
+        xb, single = self._batched_input(x, "conv forward")
+        y = self._convolve(self._padded(xb))
+        return y[0] if single else y
+
+    def _convolve(self, padded: np.ndarray) -> np.ndarray:
+        out_p = padded.shape[-1] - self.width + 1
+        y = np.zeros(_batch_lead(padded, 2, self.runs) + (self.out_channels, out_p))
         for k in range(self.in_channels):
             for t in range(self.width):
-                y += self.filters[None, :, k, t, None] * padded[:, None, k, t : t + out_p]
-        y += self.bias[None, :, None]
-        return y[0] if single else y
+                y += self.filters[..., None, :, k, t, None] * padded[..., None, k, t : t + out_p]
+        y += self.bias[..., None, :, None]
+        return y
+
+    def step(self, x) -> tuple[np.ndarray, tuple[np.ndarray, bool]]:
+        # the cache keeps the padded input, so backprop does not pad again
+        xb, single = self._batched_input(x, "conv forward")
+        padded = self._padded(xb)
+        y = self._convolve(padded)
+        return (y[0] if single else y), (padded, single)
+
+    def backprop(self, cache, upstream) -> tuple[np.ndarray, ConvGradients]:
+        grads = self._gradients(*cache, upstream)
+        return grads.d_input, grads
 
     def backward(self, x, upstream) -> ConvGradients:
         """Each shared weight's gradient sums its contributions over all
         positions; d_input is the transposed convolution of the upstream."""
-        xb, single = _as_batch(x, 2, "conv backward")
-        ub, _ = _as_batch(upstream, 2, "conv backward")
-        out_p = self.out_positions(xb.shape[2])
-        if xb.shape[1] != self.in_channels or ub.shape != (xb.shape[0], self.out_channels, out_p):
+        xb, single = self._batched_input(x, "conv backward")
+        return self._gradients(self._padded(xb), single, upstream)
+
+    def _gradients(self, padded: np.ndarray, single: bool, upstream) -> ConvGradients:
+        ub, _ = _as_batch(upstream, 2, "conv backward", self.runs)
+        out_p = padded.shape[-1] - self.width + 1
+        if ub.shape != _batch_lead(padded, 2, self.runs) + (self.out_channels, out_p):
             raise ShapeError(
-                f"conv backward: input {xb.shape} / upstream {ub.shape} do not match filters {self.filters.shape}"
+                f"conv backward: padded input {padded.shape} / upstream {ub.shape} do not match filters {self.filters.shape}"
             )
-        padded = self._padded(xb)
         d_filters = np.empty_like(self.filters)
         for k in range(self.in_channels):
             for t in range(self.width):
-                d_filters[:, k, t] = np.sum(ub * padded[:, None, k, t : t + out_p], axis=(0, 2))
-        d_bias = ub.sum(axis=(0, 2))
-        d_padded = np.zeros_like(padded)
+                d_filters[..., k, t] = np.sum(ub * padded[..., None, k, t : t + out_p], axis=(-3, -1))
+        d_bias = ub.sum(axis=(-3, -1))
+        d_padded = np.zeros(ub.shape[:-2] + padded.shape[-2:])
         for t in range(self.width):
             for c in range(self.out_channels):
-                d_padded[:, :, t : t + out_p] += ub[:, c, None, :] * self.filters[None, c, :, t, None]
+                d_padded[..., t : t + out_p] += ub[..., c, None, :] * self.filters[..., None, c, :, t, None]
         if self.padding == PADDING_SAME:
             pad = (self.width - 1) // 2
-            d_input = d_padded[:, :, pad : pad + xb.shape[2]]
+            d_input = d_padded[..., pad : d_padded.shape[-1] - pad]
         else:
             d_input = d_padded
         return ConvGradients(d_filters, d_bias, d_input[0] if single else d_input)
@@ -255,13 +334,13 @@ class GlobalMaxPool(Stage):
 
     def forward(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Returns (pooled values, per-channel argmax indices)."""
-        xb, single = _as_batch(x, 2, "max pool forward")
-        if xb.shape[2] < 1:
-            raise ShapeError(f"max pool forward: empty position axis in {xb.shape}")
-        argmax = np.argmax(xb, axis=2)  # np.argmax takes the first maximum
-        pooled = np.take_along_axis(xb, argmax[:, :, None], axis=2)[:, :, 0]
-        if single:
-            return pooled[0], argmax[0]
+        arr = np.asarray(x, dtype=np.float64)
+        if arr.ndim < 2:
+            raise ShapeError(f"max pool forward: expected (channels, positions) after any leading axes, got {arr.shape}")
+        if arr.shape[-1] < 1:
+            raise ShapeError(f"max pool forward: empty position axis in {arr.shape}")
+        argmax = np.argmax(arr, axis=-1)  # np.argmax takes the first maximum
+        pooled = np.take_along_axis(arr, argmax[..., None], axis=-1)[..., 0]
         return pooled, argmax
 
     def step(self, x) -> tuple[np.ndarray, tuple[np.ndarray, int]]:
@@ -274,16 +353,18 @@ class GlobalMaxPool(Stage):
 
     def backward(self, argmax, upstream, positions: int) -> np.ndarray:
         """Routes each channel's upstream value to its argmax position."""
-        ub, single = _as_batch(upstream, 1, "max pool backward")
-        ib, _ = _as_batch(np.asarray(argmax), 1, "max pool backward")
-        if ib.shape != ub.shape:
-            raise ValueError(f"max pool backward: argmax shape {ib.shape} does not match upstream {ub.shape}")
-        idx = ib.astype(np.int64)
+        ub = np.asarray(upstream, dtype=np.float64)
+        idx = np.asarray(argmax)
+        if ub.ndim < 1:
+            raise ShapeError(f"max pool backward: expected one value per channel, got shape {ub.shape}")
+        if idx.shape != ub.shape:
+            raise ValueError(f"max pool backward: argmax shape {idx.shape} does not match upstream {ub.shape}")
+        idx = idx.astype(np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= positions):
             raise ValueError(f"max pool backward: argmax indices out of range for {positions} positions")
-        d_input = np.zeros((ub.shape[0], ub.shape[1], positions))
-        np.put_along_axis(d_input, idx[:, :, None], ub[:, :, None], axis=2)
-        return d_input[0] if single else d_input
+        d_input = np.zeros(ub.shape + (positions,))
+        np.put_along_axis(d_input, idx[..., None], ub[..., None], axis=-1)
+        return d_input
 
 
 class Sigmoid(Stage):
@@ -317,7 +398,7 @@ class Softmax(Stage):
 
 
 class Reshape(Stage):
-    """Reshapes instance dims, passing a leading batch dim through untouched."""
+    """Reshapes instance dims, passing leading batch and run dims through untouched."""
 
     def __init__(self, shape_in, shape_out):
         self.shape_in = tuple(int(d) for d in shape_in)
@@ -326,10 +407,9 @@ class Reshape(Stage):
             raise ShapeError(f"reshape {self.shape_in} -> {self.shape_out} changes element count")
 
     def _map(self, arr: np.ndarray, src: tuple, dst: tuple, what: str) -> np.ndarray:
-        if arr.shape == src:
-            return arr.reshape(dst)
-        if arr.shape[1:] == src:
-            return arr.reshape((arr.shape[0],) + dst)
+        lead = arr.ndim - len(src)
+        if lead >= 0 and arr.shape[lead:] == src:
+            return arr.reshape(arr.shape[:lead] + dst)
         raise ShapeError(f"{what}: expected shape {src} (optionally batched), got {arr.shape}")
 
     def forward(self, x) -> np.ndarray:

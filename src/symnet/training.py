@@ -5,6 +5,11 @@ training set and one gradient step is taken per epoch.  Runs that end below
 100% training accuracy can be restarted from fresh weights up to a cap;
 every restart redraws parameters from the run's own random stream, so a
 given seed always produces the same sequence of attempts.
+
+Many runs train at once as an ensemble: a network whose parameters carry
+a leading run axis (see ``symnet.layers``), driven through one numpy call
+per stage per epoch.  Losses and accuracies then come back per member, and
+a plain network trains as an ensemble of one.
 """
 
 from __future__ import annotations
@@ -15,19 +20,40 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from symnet.layers import Softmax
-from symnet.ndcore import SeededRng, ShapeError, softmax
+from symnet.ndcore import ShapeError, softmax
 
 PROB_FLOOR = 1e-12
 
 
+def _runs(p: np.ndarray, t: np.ndarray, what: str) -> int | None:
+    """None when ``p`` matches ``t``; the run count when ``p`` holds one
+    output per run of an ensemble, ``(runs, *t.shape)``."""
+    if p.shape == t.shape:
+        return None
+    if p.shape[1:] == t.shape:
+        return p.shape[0]
+    raise ShapeError(f"{what}: outputs {p.shape} vs targets {t.shape}")
+
+
+def _total(values: np.ndarray, runs: int | None) -> float | np.ndarray:
+    """Sums every value, or each run's values when ``runs`` is set.  A run's
+    values form one contiguous row, so numpy sums them exactly as it sums
+    a plain network's outputs."""
+    if runs is None:
+        return float(np.sum(values))
+    return values.reshape(runs, -1).sum(axis=-1)
+
+
 def squared_error(predictions, targets) -> tuple[float, np.ndarray]:
-    """loss = sum((p - t)^2) over every output; gradient 2 (p - t)."""
+    """loss = sum((p - t)^2) over every output; gradient 2 (p - t).
+
+    Predictions with a leading run axis give one loss per run.
+    """
     p = np.asarray(predictions, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
-    if p.shape != t.shape:
-        raise ShapeError(f"squared_error: predictions {p.shape} vs targets {t.shape}")
+    runs = _runs(p, t, "squared_error")
     diff = p - t
-    return float(np.sum(diff * diff)), 2.0 * diff
+    return _total(diff * diff, runs), 2.0 * diff
 
 
 def cross_entropy(probabilities, targets) -> tuple[float, np.ndarray]:
@@ -36,13 +62,12 @@ def cross_entropy(probabilities, targets) -> tuple[float, np.ndarray]:
     The returned gradient is taken with respect to the logits feeding the
     softmax that produced ``probabilities`` (the two derivatives cancel to
     p - t), so backpropagation must start below the softmax.
+    Probabilities with a leading run axis give one loss per run.
     """
     p = np.asarray(probabilities, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
-    if p.shape != t.shape:
-        raise ShapeError(f"cross_entropy: probabilities {p.shape} vs targets {t.shape}")
-    loss = -float(np.sum(t * np.log(np.maximum(p, PROB_FLOOR))))
-    return loss, p - t
+    runs = _runs(p, t, "cross_entropy")
+    return -_total(t * np.log(np.maximum(p, PROB_FLOOR)), runs), p - t
 
 
 def softmax_cross_entropy(logits, targets) -> tuple[float, np.ndarray]:
@@ -73,6 +98,10 @@ class Network:
     at logits and ``predict`` adds a Softmax head.  ``backward_pass``
     returns one gradient record per parametric stage, in forward order,
     with gradients already summed over the batch.
+
+    ``Network.stack`` turns networks of one architecture into an ensemble,
+    whose parameters carry a leading run axis of ``runs`` members;
+    ``select`` and ``put`` read and write members along that axis.
     """
 
     def __init__(self, stages, architecture: str | None = None, loss: str = "squared_error"):
@@ -89,13 +118,49 @@ class Network:
     def parametric_stages(self) -> list:
         return [s for s in self.stages if s.params]
 
+    @property
+    def runs(self) -> int | None:
+        """Members along the parameters' run axis, or None for a plain network."""
+        stages = self.parametric_stages
+        return stages[0].runs if stages else None
+
     def parameter_count(self) -> int:
         return sum(getattr(stage, name).size for stage in self.stages for name in stage.params)
 
-    def reinitialize(self, rng: SeededRng, half_width: float = 0.5) -> None:
-        """Redraws every parametric stage, in forward order, from ``rng``."""
+    def reinitialize(self, rng, half_width: float = 0.5) -> None:
+        """Redraws every parametric stage, in forward order, from ``rng``:
+        one SeededRng, or for an ensemble one per member."""
         for stage in self.parametric_stages:
             stage.reinitialize(rng, half_width)
+
+    def _mapped(self, arrays) -> "Network":
+        """A network of the same stages, where stage ``i`` holds
+        ``arrays(i, name)`` in place of each of its parameters."""
+        stages = [
+            stage.with_params(**{name: arrays(i, name) for name in stage.params}) if stage.params else stage
+            for i, stage in enumerate(self.stages)
+        ]
+        return Network(stages, self.architecture, self.loss)
+
+    @staticmethod
+    def stack(networks) -> "Network":
+        """The ensemble whose member r is ``networks[r]``; all of them share
+        the first one's architecture."""
+        return networks[0]._mapped(lambda i, name: np.stack([getattr(n.stages[i], name) for n in networks]))
+
+    def select(self, members) -> "Network":
+        """The ensemble's members picked by ``members`` along the run axis:
+        an index array gives a smaller ensemble, an int one plain network."""
+        return self._mapped(lambda i, name: getattr(self.stages[i], name)[members])
+
+    def put(self, members, source: "Network") -> None:
+        """Writes ``source``, as taken by ``select(members)``, back into
+        those members; with ``members=...`` it replaces every parameter."""
+        for stage, src in zip(self.parametric_stages, source.parametric_stages):
+            for name in stage.params:
+                value = getattr(stage, name).copy()
+                value[members] = getattr(src, name)
+                setattr(stage, name, value)
 
     def forward_pass(self, x) -> tuple[np.ndarray, list]:
         """Returns the output the loss sees and one cache per stage."""
@@ -147,22 +212,26 @@ def discretise(outputs, cutoff: float = 0.5) -> np.ndarray:
         return (arr >= cutoff).astype(np.float64)
 
 
-def evaluate(network: Network, data, cutoff: float = 0.5) -> float:
+def evaluate(network: Network, data, cutoff: float = 0.5) -> float | np.ndarray:
     """Exact-match accuracy: an instance counts only if every discretised
     output equals the target bit.  Non-finite outputs never count.
 
-    ``data`` is a dataset split or an (inputs, targets) pair.
+    ``data`` is a dataset split or an (inputs, targets) pair.  Returns a
+    float, or for an ensemble an array with one accuracy per member.
     """
     inputs, t = _data_arrays(data)
     preds = network.predict(inputs)
-    if preds.shape != t.shape:
+    runs = network.runs
+    if preds.shape != (t.shape if runs is None else (runs,) + t.shape):
         raise ShapeError(f"evaluate: predictions {preds.shape} vs targets {t.shape}")
     if t.shape[0] == 0:
         raise ValueError("evaluate: empty instance set")
     bits = discretise(preds, cutoff)
-    instance_axes = tuple(range(1, t.ndim))
+    instance_axes = tuple(range(-t.ndim + 1, 0))
     hit = np.all(bits == t, axis=instance_axes) & np.all(np.isfinite(preds), axis=instance_axes)
-    return float(np.count_nonzero(hit)) / float(t.shape[0])
+    if runs is None:
+        return float(np.count_nonzero(hit)) / float(t.shape[0])
+    return np.count_nonzero(hit, axis=-1) / float(t.shape[0])
 
 
 @dataclass
@@ -188,7 +257,7 @@ class TrainResult:
     final_loss: float = math.nan
 
 
-def train(network: Network, data, config: TrainConfig, rng: SeededRng | None = None) -> TrainResult:
+def train(network: Network, data, config: TrainConfig, rng=None) -> TrainResult | list[TrainResult]:
     """Full-batch gradient descent with restart-on-failure.
 
     Each attempt runs ``config.epochs`` epochs; one update per epoch on the
@@ -197,37 +266,92 @@ def train(network: Network, data, config: TrainConfig, rng: SeededRng | None = N
     freshly drawn weights, at most ``config.max_restarts`` times.  ``rng``
     is only needed when restarts are allowed; ``data`` is a dataset split
     or an (inputs, targets) pair.  The network is trained in place, on its
-    own loss.
+    own loss, and a TrainResult comes back.
+
+    An ensemble (a network with a run axis) trains every member at once and
+    returns one TrainResult per member; ``rng`` then holds one SeededRng per
+    member.  Attempt k retrains only the members whose attempt k-1 failed,
+    each redrawn from its own rng, and a member whose loss stops being
+    finite is frozen while the others train on.  A plain network trains as
+    an ensemble of one, so both give the same numbers bit for bit.
     """
     inputs, targets = _data_arrays(data)
     if inputs.shape[0] == 0:
         raise ValueError("train: empty instance set")
-    if config.max_restarts > 0 and rng is None:
-        raise ValueError("restarts need an rng to redraw weights")
-    loss_fn = LOSSES[network.loss]
+    if network.runs is not None:
+        return _train_ensemble(network, inputs, targets, config, rng)
+    ensemble = Network.stack([network])
+    result = _train_ensemble(ensemble, inputs, targets, config, [rng])[0]
+    network.put(..., ensemble.select(0))
+    return result
 
+
+def _train_ensemble(network: Network, inputs, targets, config: TrainConfig, rngs) -> list[TrainResult]:
+    runs = network.runs
+    if config.max_restarts > 0 and (rngs is None or any(rng is None for rng in rngs)):
+        raise ValueError("restarts need an rng per run to redraw weights")
+    if rngs is not None and len(rngs) != runs:
+        raise ValueError(f"got {len(rngs)} rngs for {runs} runs")
+    loss_fn = LOSSES[network.loss]
+    results: list[TrainResult | None] = [None] * runs
+    pending = np.arange(runs)
     for attempt in range(config.max_restarts + 1):
-        if attempt > 0:
-            network.reinitialize(rng)
-        losses: list[float] = []
-        diverged = False
-        for _ in range(config.epochs):
-            outputs, caches = network.forward_pass(inputs)
-            loss, d_out = loss_fn(outputs, targets)
-            losses.append(loss)
-            if not math.isfinite(loss):
-                diverged = True
-                break
-            gd_step(network, network.backward_pass(caches, d_out), config.learning_rate)
-        if diverged:
-            final_loss = losses[-1]
-            reached = False
+        if attempt == 0:
+            members = network
         else:
-            final_loss = loss_fn(network.forward_pass(inputs)[0], targets)[0]
-            reached = evaluate(network, (inputs, targets)) == 1.0
-        if reached or attempt == config.max_restarts:
-            return TrainResult(losses=losses, restarts=attempt, reached_criterion=reached, final_loss=final_loss)
-    raise AssertionError("unreachable")
+            members = network.select(pending)
+            members.reinitialize([rngs[i] for i in pending])
+        losses = _descend(members, inputs, targets, config, loss_fn)
+        # a member whose last loss is not finite diverged, and keeps that loss
+        final_loss = np.array([member_losses[-1] for member_losses in losses])
+        reached = np.zeros(len(pending), dtype=bool)
+        ok = np.flatnonzero(np.isfinite(final_loss))
+        if ok.size:
+            healthy = members if ok.size == len(pending) else members.select(ok)
+            final_loss[ok] = loss_fn(healthy.forward_pass(inputs)[0], targets)[0]
+            reached[ok] = evaluate(healthy, (inputs, targets)) == 1.0
+        if attempt > 0:
+            network.put(pending, members)
+        for j, i in enumerate(pending):
+            results[i] = TrainResult(losses[j], attempt, bool(reached[j]), float(final_loss[j]))
+        pending = pending[~reached]
+        if not pending.size:
+            break
+    return results
+
+
+def _descend(network: Network, inputs, targets, config: TrainConfig, loss_fn) -> list[list[float]]:
+    """Runs one attempt's epochs on every member of ``network`` in place and
+    returns each member's per-epoch losses.  A member whose loss stops being
+    finite keeps the weights that produced that loss, which ends its list,
+    and the others go on without it.
+    """
+    runs = network.runs
+    table = np.empty((config.epochs, runs))
+    stop = np.full(runs, config.epochs)
+    alive = np.arange(runs)
+    active = network
+    for epoch in range(config.epochs):
+        outputs, caches = active.forward_pass(inputs)
+        loss, d_out = loss_fn(outputs, targets)
+        table[epoch, alive] = loss
+        finite = np.isfinite(loss)
+        if not finite.all():
+            stop[alive[~finite]] = epoch + 1
+            if active is not network:
+                network.put(alive, active)
+            alive = alive[finite]
+            if not alive.size:
+                break
+            # the survivors' outputs do not change; recomputing them is
+            # simpler than cutting every stage's cache down to the survivors
+            active = network.select(alive)
+            outputs, caches = active.forward_pass(inputs)
+            d_out = loss_fn(outputs, targets)[1]
+        gd_step(active, active.backward_pass(caches, d_out), config.learning_rate)
+    if active is not network and alive.size:
+        network.put(alive, active)
+    return [table[:n, r].tolist() for r, n in enumerate(stop)]
 
 
 @dataclass

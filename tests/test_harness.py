@@ -1,5 +1,6 @@
 """Experiment runner: network construction, seeding, reports, CLI."""
 
+import hashlib
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -87,6 +88,14 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(experiment="identity", filter_width=2)
 
+    def test_filter_width_is_rejected_for_rule(self):
+        # rule nets have no knob it could set, so a width other than the
+        # default must not be dropped without a word
+        with pytest.raises(ValueError, match="filter_width"):
+            ExperimentSpec(experiment="rule", filter_width=3)
+        assert ExperimentSpec(experiment="rule", filter_width=5).filter_width == 5
+        assert ExperimentSpec(experiment="identity", filter_width=3).filter_width == 3
+
     def test_experiment_defaults(self):
         identity = resolved_train_config(ExperimentSpec(experiment="identity"))
         assert identity.learning_rate == 1.0
@@ -156,10 +165,13 @@ class TestRunExperiment:
             assert again == row
 
     def test_parallel_execution_matches_serial(self):
-        spec = small_spec(runs=4)
-        serial = run_experiment(spec)
-        parallel = run_experiment(spec, workers=3)
-        assert render_csv(serial) == render_csv(parallel)
+        # 4 runs cut into uneven slices of 1, 1 and 2; 2 runs leave the third
+        # worker without a slice
+        for runs in (4, 2):
+            spec = small_spec(architectures=("dense", "conv"), runs=runs)
+            serial = run_experiment(spec)
+            parallel = run_experiment(spec, workers=3)
+            assert render_csv(serial) == render_csv(parallel), runs
 
     def test_restart_budget_is_respected_in_rows(self):
         spec = ExperimentSpec(experiment="rule", architectures=("conv",), runs=3)
@@ -210,6 +222,12 @@ class TestReports:
         with pytest.raises(ValueError):
             write_report(report, "xml", None)
 
+    def test_write_report_accepts_only_the_listed_formats(self):
+        # "markdown" is not one of FORMATS, so it fails like any unknown name
+        report = run_experiment(small_spec(runs=1))
+        with pytest.raises(ValueError, match="'csv', 'json', 'md'"):
+            write_report(report, "markdown", None)
+
     def test_write_report_propagates_io_errors(self, tmp_path):
         report = run_experiment(small_spec(runs=1))
         with pytest.raises(OSError):
@@ -259,6 +277,7 @@ class TestParseCli:
             ["--experiment", "identity", "--filter-width", "4"],
             ["--experiment", "identity", "--format", "yaml"],
             ["--experiment", "identity", "--no-such-flag"],
+            ["--experiment", "rule", "--filter-width", "3"],
         ],
     )
     def test_usage_errors_exit_with_code_1(self, argv, capsys):
@@ -321,3 +340,14 @@ class TestGoldenReports:
             for suffix, render in (("csv", render_csv), ("md", render_markdown)):
                 golden = (GOLDEN_DIR / f"report_{experiment}.{suffix}").read_bytes()
                 assert render(report).encode("utf-8") == golden, f"report_{experiment}.{suffix}"
+
+    def test_default_100_run_reports_match_golden_digests(self):
+        # The full default protocol at master seed 0, whose ensembles reduce
+        # over 100 members; the 5-run golden bytes above cannot show an
+        # error that appears only at that size.
+        digests = dict(
+            line.split()[::-1] for line in (GOLDEN_DIR / "report_100_runs.sha256").read_text(encoding="utf-8").splitlines()
+        )
+        for experiment in ("identity", "rule"):
+            text = render_csv(run_experiment(ExperimentSpec(experiment, master_seed=0)))
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digests[f"report_{experiment}_100.csv"], experiment

@@ -309,3 +309,92 @@ class TestConvSymmetries:
             x = rng.uniform(-1, 1, (3, 12))
             perm = rng.permutation(12)
             assert np.array_equal(layer.forward(x[:, perm]), layer.forward(x)[:, perm])
+
+
+class TestRunAxis:
+    """Layers whose parameters carry a leading run axis compute, for each
+    member, exactly what a plain layer holding that member's parameters does."""
+
+    def test_dense_members_match_plain_layers_bit_for_bit(self):
+        rng = np.random.default_rng(51)
+        weights, bias = rng.uniform(-1, 1, (4, 24, 36)), rng.uniform(-1, 1, (4, 24))
+        ensemble = DenseLayer(weights, bias)
+        assert ensemble.runs == 4 and DenseLayer(weights[0], bias[0]).runs is None
+        shared = rng.uniform(-1, 1, (32, 36))
+        per_run = rng.uniform(-1, 1, (4, 32, 36))
+        upstream = rng.uniform(-1, 1, (4, 32, 24))
+        for x in (shared, per_run):
+            y = ensemble.forward(x)
+            g = ensemble.backward(x, upstream)
+            assert y.shape == (4, 32, 24)
+            for r in range(4):
+                plain = DenseLayer(weights[r], bias[r])
+                xr = x if x.ndim == 2 else x[r]
+                gr = plain.backward(xr, upstream[r])
+                assert np.array_equal(y[r], plain.forward(xr))
+                assert np.array_equal(g.d_weights[r], gr.d_weights)
+                assert np.array_equal(g.d_bias[r], gr.d_bias)
+                assert np.array_equal(g.d_input[r], gr.d_input)
+
+    @pytest.mark.parametrize("padding,width,in_c,out_c,positions", [("zero_same", 5, 1, 1, 5), ("none", 1, 3, 2, 12), ("zero_same", 3, 2, 2, 7)])
+    def test_conv_members_match_plain_layers_bit_for_bit(self, padding, width, in_c, out_c, positions):
+        rng = np.random.default_rng(53)
+        filters, bias = rng.uniform(-1, 1, (3, out_c, in_c, width)), rng.uniform(-1, 1, (3, out_c))
+        ensemble = Conv1DLayer(filters, bias, padding=padding)
+        shared = rng.uniform(-1, 1, (6, in_c, positions))
+        per_run = rng.uniform(-1, 1, (3, 6, in_c, positions))
+        out_p = ensemble.out_positions(positions)
+        upstream = rng.uniform(-1, 1, (3, 6, out_c, out_p))
+        for x in (shared, per_run):
+            y = ensemble.forward(x)
+            g = ensemble.backward(x, upstream)
+            for r in range(3):
+                plain = Conv1DLayer(filters[r], bias[r], padding=padding)
+                xr = x if x.ndim == 3 else x[r]
+                gr = plain.backward(xr, upstream[r])
+                assert np.array_equal(y[r], plain.forward(xr))
+                assert np.array_equal(g.d_filters[r], gr.d_filters)
+                assert np.array_equal(g.d_bias[r], gr.d_bias)
+                assert np.array_equal(g.d_input[r], gr.d_input)
+
+    @pytest.mark.parametrize("runs", [None, 2])
+    def test_conv_step_cache_gives_the_backward_gradients(self, runs):
+        # step keeps the padded input, so backprop must not need x again
+        rng = np.random.default_rng(57)
+        lead = () if runs is None else (runs,)
+        layer = Conv1DLayer(rng.uniform(-1, 1, lead + (2, 1, 5)), rng.uniform(-1, 1, lead + (2,)), padding="zero_same")
+        x = rng.uniform(-1, 1, (4, 1, 5))
+        y, cache = layer.step(x)
+        upstream = rng.uniform(-1, 1, y.shape)
+        d_input, record = layer.backprop(cache, upstream)
+        want = layer.backward(x, upstream)
+        assert np.array_equal(y, layer.forward(x))
+        assert np.array_equal(record.d_filters, want.d_filters)
+        assert np.array_equal(record.d_bias, want.d_bias)
+        assert np.array_equal(d_input, want.d_input)
+
+    def test_pool_and_plumbing_pass_leading_axes_through(self):
+        rng = np.random.default_rng(59)
+        x = rng.uniform(-1, 1, (3, 4, 2, 12))
+        pooled, argmax = GlobalMaxPool().forward(x)
+        assert pooled.shape == argmax.shape == (3, 4, 2)
+        upstream = rng.uniform(-1, 1, (3, 4, 2))
+        d = GlobalMaxPool().backward(argmax, upstream, 12)
+        for r in range(3):
+            assert np.array_equal(pooled[r], GlobalMaxPool().forward(x[r])[0])
+            assert np.array_equal(d[r], GlobalMaxPool().backward(argmax[r], upstream[r], 12))
+        assert Reshape((24,), (2, 12)).forward(np.zeros((3, 4, 24))).shape == (3, 4, 2, 12)
+        assert Reshape((24,), (2, 12)).backward(np.zeros((3, 4, 2, 12))).shape == (3, 4, 24)
+
+    def test_run_axis_inputs_are_checked(self):
+        layer = DenseLayer(np.zeros((2, 3, 4)), np.zeros((2, 3)))
+        with pytest.raises(ShapeError):
+            layer.forward(np.zeros(4))  # an ensemble takes batches only
+        with pytest.raises(ShapeError):
+            layer.forward(np.zeros((5, 6, 4)))  # one batch per run, but 5 runs
+        with pytest.raises(ShapeError):
+            layer.backward(np.zeros((6, 4)), np.zeros((6, 3)))  # upstream lacks the run axis
+        with pytest.raises(ShapeError):
+            DenseLayer(np.zeros((2, 3, 4)), np.zeros(3))
+        with pytest.raises(ShapeError):
+            Conv1DLayer(np.zeros((2, 1, 1, 3)), np.zeros(1), padding="none")

@@ -343,3 +343,108 @@ class TestTrain:
         gd_step(net, net.backward_pass(caches, d_out), 1.0)
         assert abs(layer.weights[0, 0] - 2.0) <= 1e-12
         assert abs(layer.bias[0] - 1.0) <= 1e-12
+
+
+def _same_parameters(a: Network, b: Network) -> bool:
+    return all(
+        np.array_equal(getattr(x, name), getattr(y, name))
+        for x, y in zip(a.parametric_stages, b.parametric_stages)
+        for name in x.params
+    )
+
+
+class TestEnsemble:
+    @pytest.mark.parametrize("experiment,architecture", [
+        ("identity", "dense"), ("identity", "conv"), ("rule", "dense"), ("rule", "conv"),
+    ])
+    def test_ensemble_matches_independent_runs_bit_for_bit(self, experiment, architecture):
+        # master seed 0, runs 0-4 at the experiment defaults; rule/conv run 1
+        # restarts twice, so its later attempts train a one-member sub-ensemble
+        config = TrainConfig(learning_rate=1.0 if experiment == "identity" else 0.1,
+                             max_restarts=0 if experiment == "identity" else 50)
+        data = (make_identity_dataset() if experiment == "identity" else make_rule_dataset()).train
+        seeds = [derive_seed(0, f"{experiment}_{architecture}", i) for i in range(5)]
+        rngs = [SeededRng(seed) for seed in seeds]
+        ensemble = Network.stack([build_network(experiment, architecture, rng) for rng in rngs])
+        results = train(ensemble, data, config, rngs)
+        if (experiment, architecture) == ("rule", "conv"):
+            assert [r.restarts for r in results] == [0, 2, 0, 0, 0]
+        for member, (seed, together) in enumerate(zip(seeds, results)):
+            rng = SeededRng(seed)
+            alone = build_network(experiment, architecture, rng)
+            result = train(alone, data, config, rng)
+            assert result.restarts == together.restarts
+            assert result.reached_criterion == together.reached_criterion
+            assert result.final_loss == together.final_loss
+            assert result.losses == together.losses
+            assert _same_parameters(alone, ensemble.select(member))
+
+    def test_plain_network_trains_as_one_member_ensemble(self):
+        ds = make_identity_dataset()
+        config = TrainConfig(epochs=50)
+        plain = build_network("identity", "conv", SeededRng(8))
+        ensemble = Network.stack([build_network("identity", "conv", SeededRng(8))])
+        result = train(plain, ds.train, config)
+        (member,) = train(ensemble, ds.train, config)
+        assert plain.runs is None and ensemble.runs == 1
+        assert result.losses == member.losses
+        assert _same_parameters(plain, ensemble.select(0))
+        assert evaluate(ensemble, ds.train).tolist() == [evaluate(plain, ds.train)]
+
+    @pytest.mark.parametrize("max_restarts", [0, 1])
+    def test_diverged_member_stops_while_the_others_train(self, max_restarts):
+        rng = np.random.default_rng(5)
+        inputs = rng.uniform(-1, 1, (4, 3))
+        targets = rng.uniform(-1, 1, (4, 2))
+        weights = [rng.uniform(-0.5, 0.5, (2, 3)) for _ in range(3)]
+        weights[1] = np.full((2, 3), 1e200)  # its squared error overflows at the first epoch
+        nets = [Network([DenseLayer(w, np.zeros(2))]) for w in weights]
+        ensemble = Network.stack(nets)
+        config = TrainConfig(epochs=5, learning_rate=0.1, max_restarts=max_restarts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = train(ensemble, (inputs, targets), config, [SeededRng(r) for r in range(3)])
+            alone = [train(net, (inputs, targets), config, SeededRng(r)) for r, net in enumerate(nets)]
+        if max_restarts == 0:
+            # frozen with the weights that overflowed, its one loss on record
+            assert results[1].losses == [math.inf] and results[1].final_loss == math.inf
+            assert not results[1].reached_criterion
+            assert np.array_equal(ensemble.select(1).stages[0].weights, weights[1])
+        else:
+            assert results[1].restarts == 1 and len(results[1].losses) == 5
+        for member, result in enumerate(alone):
+            assert result.losses == results[member].losses
+            assert result.restarts == results[member].restarts
+            assert _same_parameters(nets[member], ensemble.select(member))
+
+    def test_ensemble_losses_are_per_run_sums(self):
+        rng = np.random.default_rng(23)
+        preds = rng.uniform(0, 1, (3, 4, 5))
+        targets = rng.uniform(0, 1, (4, 5))
+        losses, grad = squared_error(preds, targets)
+        assert losses.tolist() == [squared_error(p, targets)[0] for p in preds]
+        assert np.array_equal(grad, np.stack([squared_error(p, targets)[1] for p in preds]))
+        probs = softmax(preds)
+        assert cross_entropy(probs, targets)[0].tolist() == [cross_entropy(p, targets)[0] for p in probs]
+
+    def test_select_and_put_round_trip(self):
+        nets = [build_network("rule", "dense", SeededRng(seed)) for seed in range(4)]
+        ensemble = Network.stack(nets)
+        assert ensemble.runs == 4
+        assert ensemble.parameter_count() == 4 * nets[0].parameter_count()
+        assert _same_parameters(ensemble.select(2), nets[2])
+        picked = ensemble.select(np.array([3, 0]))
+        assert picked.runs == 2 and _same_parameters(picked.select(0), nets[3])
+        picked.reinitialize([SeededRng(10), SeededRng(11)])
+        ensemble.put(np.array([3, 0]), picked)
+        redrawn = build_network("rule", "dense", SeededRng(0))
+        redrawn.reinitialize(SeededRng(11))
+        assert _same_parameters(ensemble.select(0), redrawn)
+        assert _same_parameters(ensemble.select(1), nets[1])
+
+    def test_restarts_need_an_rng_per_run(self):
+        ensemble = Network.stack([build_network("identity", "dense", SeededRng(s)) for s in range(2)])
+        data = make_identity_dataset().train
+        with pytest.raises(ValueError):
+            train(ensemble, data, TrainConfig(max_restarts=1), [SeededRng(0), None])
+        with pytest.raises(ValueError):
+            train(ensemble, data, TrainConfig(epochs=1), [SeededRng(0)])
