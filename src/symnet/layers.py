@@ -49,7 +49,7 @@ def _as_batch(x, inner_ndim: int, what: str, runs: int | None = None) -> tuple[n
     if arr.ndim == inner_ndim + 1 or (arr.ndim == inner_ndim + 2 and arr.shape[0] == runs):
         return arr, False
     raise ShapeError(
-        f"{what}: expected a {inner_ndim + 1}-D shared batch or a {inner_ndim + 2}-D batch per each of {runs} runs, "
+        f"{what}: expected a {inner_ndim + 1}-D shared batch or a {inner_ndim + 2}-D batch for each of {runs} runs, "
         f"got shape {arr.shape}"
     )
 

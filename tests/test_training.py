@@ -20,7 +20,7 @@ from symnet.training import (
     squared_error,
     train,
 )
-from symnet.harness import build_network
+from symnet.harness import ExperimentSpec, build_network, resolved_train_config
 
 
 class TestSquaredError:
@@ -360,8 +360,7 @@ class TestEnsemble:
     def test_ensemble_matches_independent_runs_bit_for_bit(self, experiment, architecture):
         # master seed 0, runs 0-4 at the experiment defaults; rule/conv run 1
         # restarts twice, so its later attempts train a one-member sub-ensemble
-        config = TrainConfig(learning_rate=1.0 if experiment == "identity" else 0.1,
-                             max_restarts=0 if experiment == "identity" else 50)
+        config = resolved_train_config(ExperimentSpec(experiment))
         data = (make_identity_dataset() if experiment == "identity" else make_rule_dataset()).train
         seeds = [derive_seed(0, f"{experiment}_{architecture}", i) for i in range(5)]
         rngs = [SeededRng(seed) for seed in seeds]
