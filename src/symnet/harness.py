@@ -59,28 +59,31 @@ class ExperimentSpec:
                 raise ValueError(f"unknown architecture {arch!r}; expected a subset of {ARCHITECTURES}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError("master_seed must be in [0, 2**64), so that no two seeds alias")
         if self.filter_width < 1 or self.filter_width % 2 == 0:
             raise ValueError("filter width must be a positive odd integer")
         if self.experiment == "rule" and self.filter_width != 5:
             raise ValueError("filter_width sets the identity conv network only; rule nets use a width-1 conv")
 
 
+# The field order of these two reports is the key order of the JSON report.
 @dataclass
 class ArchitectureReport:
     architecture: str
-    runs: list[RunReport]
     # means are over non-failed runs only and None when every run failed
     mean_train_accuracy: float | None
     mean_test_accuracy: float | None
     failed_runs: int
+    runs: list[RunReport]
 
 
 @dataclass
 class ExperimentReport:
     experiment: str
-    architectures: list[ArchitectureReport]
-    config: dict
     version: str
+    config: dict
+    architectures: list[ArchitectureReport]
 
 
 def resolved_train_config(spec: ExperimentSpec) -> TrainConfig:
@@ -141,7 +144,7 @@ def build_network(experiment: str, architecture: str, rng: SeededRng, filter_wid
         ]
     else:
         raise ValueError(f"unknown experiment/architecture pair {experiment!r}/{architecture!r}")
-    return Network(stages, architecture=arch_id, loss=EXPERIMENT_LOSSES[experiment])
+    return Network(stages, loss=EXPERIMENT_LOSSES[experiment])
 
 
 def execute_runs(
@@ -212,8 +215,10 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentReport:
     the report is a pure function of its ExperimentSpec whatever the worker
     count.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     config = resolved_train_config(spec)
-    slices = min(max(workers, 1), spec.runs)
+    slices = min(workers, spec.runs)
     bounds = [spec.runs * s // slices for s in range(slices + 1)]
     jobs = []
     for s in range(slices):
@@ -300,22 +305,7 @@ def render_csv(report: ExperimentReport) -> str:
 
 
 def render_json(report: ExperimentReport) -> str:
-    payload = {
-        "experiment": report.experiment,
-        "version": report.version,
-        "config": report.config,
-        "architectures": [
-            {
-                "architecture": arch.architecture,
-                "mean_train_accuracy": arch.mean_train_accuracy,
-                "mean_test_accuracy": arch.mean_test_accuracy,
-                "failed_runs": arch.failed_runs,
-                "runs": [asdict(run) for run in arch.runs],
-            }
-            for arch in report.architectures
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(asdict(report), indent=2) + "\n"
 
 
 def _percent(value: float | None) -> str:

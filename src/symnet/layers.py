@@ -31,6 +31,7 @@ from symnet.ndcore import SeededRng, ShapeError, init_uniform, sigmoid, softmax,
 
 PADDING_SAME = "zero_same"
 PADDING_NONE = "none"
+INIT_HALF_WIDTH = 0.5  # weights start uniform in [-0.5, 0.5]
 
 
 def _as_batch(x, inner_ndim: int, what: str, runs: int | None = None) -> tuple[np.ndarray, bool]:
@@ -121,7 +122,7 @@ class ParametricStage(Stage):
         grads = self.backward(cache, upstream)
         return grads.d_input, grads
 
-    def reinitialize(self, rng, half_width: float = 0.5) -> None:
+    def reinitialize(self, rng) -> None:
         """Redraws every non-bias parameter, in ``params`` order, and zeroes
         the bias.  With a run axis ``rng`` holds one SeededRng per member,
         and each member draws from its own."""
@@ -131,9 +132,9 @@ class ParametricStage(Stage):
             if name == "bias":
                 new = np.zeros_like(old)
             elif runs is None:
-                new = init_uniform(rng, old.shape, half_width)
+                new = init_uniform(rng, old.shape, INIT_HALF_WIDTH)
             else:
-                new = np.stack([init_uniform(member, old.shape[1:], half_width) for member in rng])
+                new = np.stack([init_uniform(member, old.shape[1:], INIT_HALF_WIDTH) for member in rng])
             setattr(self, name, new)
 
 
@@ -162,8 +163,8 @@ class DenseLayer(ParametricStage):
         return self.weights.shape[-1]
 
     @classmethod
-    def from_rng(cls, rng: SeededRng, in_units: int, out_units: int, half_width: float = 0.5) -> "DenseLayer":
-        return cls(init_uniform(rng, (out_units, in_units), half_width), np.zeros(out_units))
+    def from_rng(cls, rng: SeededRng, in_units: int, out_units: int) -> "DenseLayer":
+        return cls(init_uniform(rng, (out_units, in_units), INIT_HALF_WIDTH), np.zeros(out_units))
 
     def forward(self, x) -> np.ndarray:
         """y = x W^T + b.  With a run axis, ``np.matmul`` makes the same BLAS
@@ -234,9 +235,8 @@ class Conv1DLayer(ParametricStage):
         out_channels: int,
         width: int,
         padding: str = PADDING_SAME,
-        half_width: float = 0.5,
     ) -> "Conv1DLayer":
-        filters = init_uniform(rng, (out_channels, in_channels, width), half_width)
+        filters = init_uniform(rng, (out_channels, in_channels, width), INIT_HALF_WIDTH)
         return cls(filters, np.zeros(out_channels), padding)
 
     def _padded(self, xb: np.ndarray) -> np.ndarray:

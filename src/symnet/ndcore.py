@@ -49,14 +49,9 @@ def sigmoid(x) -> np.ndarray:
     Computed on the branch that never overflows, so large-magnitude inputs
     saturate cleanly to 0.0 / 1.0 instead of producing NaN.
     """
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = np.empty_like(arr)
-    neg = arr < 0.0
-    pos = ~neg
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    expx = np.exp(arr[neg])
-    out[neg] = expx / (1.0 + expx)
-    return out.reshape(np.shape(x))
+    arr = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(arr))
+    return np.where(arr < 0.0, e / (1.0 + e), 1.0 / (1.0 + e))
 
 
 def softmax(logits, axis: int = -1) -> np.ndarray:
@@ -114,14 +109,7 @@ class SeededRng:
     __slots__ = ("_s",)
 
     def __init__(self, seed: int):
-        state = []
-        z = seed & _MASK64
-        for _ in range(4):
-            z = (z + _SPLITMIX_GAMMA) & _MASK64
-            word = z
-            word = ((word ^ (word >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            word = ((word ^ (word >> 27)) * 0x94D049BB133111EB) & _MASK64
-            state.append(word ^ (word >> 31))
+        state = [_mix64((seed + i * _SPLITMIX_GAMMA) & _MASK64) for i in range(4)]
         if not any(state):
             state[0] = 1  # xoshiro state must not be all zero
         self._s = state

@@ -104,9 +104,8 @@ class Network:
     ``select`` and ``put`` read and write members along that axis.
     """
 
-    def __init__(self, stages, architecture: str | None = None, loss: str = "squared_error"):
+    def __init__(self, stages, loss: str = "squared_error"):
         self.stages = list(stages)
-        self.architecture = architecture
         self.loss = loss
         if not self.stages:
             raise ValueError("network needs at least one stage")
@@ -127,11 +126,11 @@ class Network:
     def parameter_count(self) -> int:
         return sum(getattr(stage, name).size for stage in self.stages for name in stage.params)
 
-    def reinitialize(self, rng, half_width: float = 0.5) -> None:
+    def reinitialize(self, rng) -> None:
         """Redraws every parametric stage, in forward order, from ``rng``:
         one SeededRng, or for an ensemble one per member."""
         for stage in self.parametric_stages:
-            stage.reinitialize(rng, half_width)
+            stage.reinitialize(rng)
 
     def _mapped(self, arrays) -> "Network":
         """A network of the same stages, where stage ``i`` holds
@@ -140,7 +139,7 @@ class Network:
             stage.with_params(**{name: arrays(i, name) for name in stage.params}) if stage.params else stage
             for i, stage in enumerate(self.stages)
         ]
-        return Network(stages, self.architecture, self.loss)
+        return Network(stages, self.loss)
 
     @staticmethod
     def stack(networks) -> "Network":
@@ -243,8 +242,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
 
@@ -303,13 +302,10 @@ def _train_ensemble(network: Network, inputs, targets, config: TrainConfig, rngs
             members.reinitialize([rngs[i] for i in pending])
         losses = _descend(members, inputs, targets, config, loss_fn)
         # a member whose last loss is not finite diverged, and keeps that loss
-        final_loss = np.array([member_losses[-1] for member_losses in losses])
-        reached = np.zeros(len(pending), dtype=bool)
-        ok = np.flatnonzero(np.isfinite(final_loss))
-        if ok.size:
-            healthy = members if ok.size == len(pending) else members.select(ok)
-            final_loss[ok] = loss_fn(healthy.forward_pass(inputs)[0], targets)[0]
-            reached[ok] = evaluate(healthy, (inputs, targets)) == 1.0
+        last = np.array([member_losses[-1] for member_losses in losses])
+        finite_last = np.isfinite(last)
+        final_loss = np.where(finite_last, loss_fn(members.forward_pass(inputs)[0], targets)[0], last)
+        reached = finite_last & (evaluate(members, (inputs, targets)) == 1.0)
         if attempt > 0:
             network.put(pending, members)
         for j, i in enumerate(pending):
@@ -323,34 +319,26 @@ def _train_ensemble(network: Network, inputs, targets, config: TrainConfig, rngs
 def _descend(network: Network, inputs, targets, config: TrainConfig, loss_fn) -> list[list[float]]:
     """Runs one attempt's epochs on every member of ``network`` in place and
     returns each member's per-epoch losses.  A member whose loss stops being
-    finite keeps the weights that produced that loss, which ends its list,
-    and the others go on without it.
+    finite keeps the weights that produced that loss, which ends its list:
+    from then on its gradients are zeroed, so it stays frozen in place
+    while the others train on.
     """
-    runs = network.runs
-    table = np.empty((config.epochs, runs))
-    stop = np.full(runs, config.epochs)
-    alive = np.arange(runs)
-    active = network
+    table = np.empty((config.epochs, network.runs))
+    stop = np.full(network.runs, config.epochs)
     for epoch in range(config.epochs):
-        outputs, caches = active.forward_pass(inputs)
+        outputs, caches = network.forward_pass(inputs)
         loss, d_out = loss_fn(outputs, targets)
-        table[epoch, alive] = loss
+        table[epoch] = loss
+        gradients = network.backward_pass(caches, d_out)
         finite = np.isfinite(loss)
         if not finite.all():
-            stop[alive[~finite]] = epoch + 1
-            if active is not network:
-                network.put(alive, active)
-            alive = alive[finite]
-            if not alive.size:
+            stop[~finite & (stop > epoch)] = epoch + 1
+            if not finite.any():
                 break
-            # the survivors' outputs do not change; recomputing them is
-            # simpler than cutting every stage's cache down to the survivors
-            active = network.select(alive)
-            outputs, caches = active.forward_pass(inputs)
-            d_out = loss_fn(outputs, targets)[1]
-        gd_step(active, active.backward_pass(caches, d_out), config.learning_rate)
-    if active is not network and alive.size:
-        network.put(alive, active)
+            for stage, record in zip(network.parametric_stages, gradients):
+                for name in stage.params:
+                    getattr(record, f"d_{name}")[~finite] = 0.0
+        gd_step(network, gradients, config.learning_rate)
     return [table[:n, r].tolist() for r, n in enumerate(stop)]
 
 

@@ -88,6 +88,17 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(experiment="identity", filter_width=2)
 
+    def test_master_seed_outside_64_bits_is_rejected(self):
+        # seeds are mixed modulo 2**64, so -1 would silently run as 2**64 - 1
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="master_seed"):
+                ExperimentSpec(experiment="identity", master_seed=seed)
+        assert ExperimentSpec(experiment="identity", master_seed=2**64 - 1).master_seed == 2**64 - 1
+        assert parse_cli(["--experiment", "identity", "--seed", "0"])[0].master_seed == 0
+        with pytest.raises(SystemExit) as exc:
+            parse_cli(["--experiment", "identity", "--seed", "-1"])
+        assert exc.value.code == 1
+
     def test_filter_width_is_rejected_for_rule(self):
         # rule nets have no knob it could set, so a width other than the
         # default must not be dropped without a word
@@ -172,6 +183,11 @@ class TestRunExperiment:
             serial = run_experiment(spec)
             parallel = run_experiment(spec, workers=3)
             assert render_csv(serial) == render_csv(parallel), runs
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_are_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment(small_spec(runs=1), workers=workers)
 
     def test_restart_budget_is_respected_in_rows(self):
         spec = ExperimentSpec(experiment="rule", architectures=("conv",), runs=3)
@@ -278,6 +294,7 @@ class TestParseCli:
             ["--experiment", "identity", "--format", "yaml"],
             ["--experiment", "identity", "--no-such-flag"],
             ["--experiment", "rule", "--filter-width", "3"],
+            ["--experiment", "rule", "--lr", "inf"],
         ],
     )
     def test_usage_errors_exit_with_code_1(self, argv, capsys):
@@ -340,6 +357,13 @@ class TestGoldenReports:
             for suffix, render in (("csv", render_csv), ("md", render_markdown)):
                 golden = (GOLDEN_DIR / f"report_{experiment}.{suffix}").read_bytes()
                 assert render(report).encode("utf-8") == golden, f"report_{experiment}.{suffix}"
+
+    def test_json_reports_match_golden_bytes(self):
+        # key order and float spelling included, which a dict comparison misses
+        for experiment in ("identity", "rule"):
+            report = run_experiment(ExperimentSpec(experiment, runs=5, master_seed=0))
+            golden = (GOLDEN_DIR / f"report_{experiment}.json").read_bytes()
+            assert render_json(report).encode("utf-8") == golden, f"report_{experiment}.json"
 
     def test_default_100_run_reports_match_golden_digests(self):
         # The full default protocol at master seed 0, whose ensembles reduce

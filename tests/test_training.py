@@ -247,6 +247,9 @@ class TestTrainConfig:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(max_restarts=-1)
+        for rate in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainConfig(learning_rate=rate)
 
 
 class TestTrain:
@@ -414,6 +417,37 @@ class TestEnsemble:
             assert result.losses == results[member].losses
             assert result.restarts == results[member].restarts
             assert _same_parameters(nets[member], ensemble.select(member))
+
+    def test_member_diverging_after_an_update_keeps_its_last_finite_weights(self):
+        # member 1's loss is finite at epoch 1 and overflows at epoch 2, so it
+        # is frozen with the weights of one update while the others train on
+        rng = np.random.default_rng(7)
+        inputs = rng.uniform(-1, 1, (4, 3))
+        targets = rng.uniform(-1, 1, (4, 2))
+        firsts = [rng.uniform(-0.5, 0.5, (4, 3)) for _ in range(3)]
+        seconds = [rng.uniform(-0.5, 0.5, (2, 4)) for _ in range(3)]
+        firsts[1] = np.full((4, 3), 1e100)
+
+        def net(member):
+            return Network([DenseLayer(firsts[member], np.zeros(4)), DenseLayer(seconds[member], np.zeros(2))])
+
+        config = TrainConfig(epochs=5, learning_rate=0.1)
+        ensemble = Network.stack([net(member) for member in range(3)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = train(ensemble, (inputs, targets), config)
+            once = net(1)
+            first = train(once, (inputs, targets), TrainConfig(epochs=1, learning_rate=0.1))
+        assert len(results[1].losses) == 2
+        assert results[1].losses[0] == first.losses[0] and math.isfinite(first.losses[0])
+        assert results[1].losses[1] == math.inf and results[1].final_loss == math.inf
+        assert not results[1].reached_criterion
+        assert _same_parameters(ensemble.select(1), once)
+        for member in (0, 2):
+            alone = net(member)
+            result = train(alone, (inputs, targets), config)
+            assert result.losses == results[member].losses and len(result.losses) == 5
+            assert result.final_loss == results[member].final_loss
+            assert _same_parameters(alone, ensemble.select(member))
 
     def test_ensemble_losses_are_per_run_sums(self):
         rng = np.random.default_rng(23)
