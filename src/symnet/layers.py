@@ -66,14 +66,14 @@ def _batch_lead(xb: np.ndarray, inner_ndim: int, runs: int | None) -> tuple[int,
 class DenseGradients:
     d_weights: np.ndarray
     d_bias: np.ndarray
-    d_input: np.ndarray
+    d_input: np.ndarray | None
 
 
 @dataclass
 class ConvGradients:
     d_filters: np.ndarray
     d_bias: np.ndarray
-    d_input: np.ndarray
+    d_input: np.ndarray | None
 
 
 class Stage:
@@ -84,6 +84,8 @@ class Stage:
     ``backprop(cache, upstream) -> (d_input, record)`` runs ``backward``, and
     ``record`` holds ``d_<name>`` for each name in ``params``, or is None.
     The defaults fit stages whose ``backward`` needs only the upstream.
+    ``Network.backward_pass`` stops at the first parametric stage, so the
+    parameter-free stages in front of it never run ``backprop``.
     """
 
     params: tuple[str, ...] = ()
@@ -98,7 +100,10 @@ class Stage:
 class ParametricStage(Stage):
     """A stage with trainable arrays: ``backward(x, upstream)`` returns a
     gradient record, and ``bias`` is the one parameter that starts at zero.
-    ``kernel_ndim`` is the rank of the first parameter without a run axis."""
+    ``kernel_ndim`` is the rank of the first parameter without a run axis.
+    ``backprop(cache, upstream, input_grad=False)`` forms the parameter
+    gradients alone and returns None as the input gradient and ``d_input``:
+    ``Network.backward_pass`` asks this of its first parametric stage."""
 
     kernel_ndim: int
 
@@ -118,8 +123,8 @@ class ParametricStage(Stage):
     def step(self, x) -> tuple[np.ndarray, np.ndarray]:
         return self.forward(x), x
 
-    def backprop(self, cache, upstream):
-        grads = self.backward(cache, upstream)
+    def backprop(self, cache, upstream, input_grad: bool = True):
+        grads = self.backward(cache, upstream, input_grad)
         return grads.d_input, grads
 
     def reinitialize(self, rng) -> None:
@@ -175,9 +180,10 @@ class DenseLayer(ParametricStage):
         y = np.matmul(xb, np.swapaxes(self.weights, -1, -2)) + self.bias[..., None, :]
         return y[0] if single else y
 
-    def backward(self, x, upstream) -> DenseGradients:
+    def backward(self, x, upstream, input_grad: bool = True) -> DenseGradients:
         """dW[i][j] = upstream[i] * x[j], db = upstream, dx = W^T upstream,
-        each summed over the batch where one is present."""
+        each summed over the batch where one is present.  ``input_grad=False``
+        leaves dx unformed (None)."""
         xb, single = _as_batch(x, 1, "dense backward", self.runs)
         ub, _ = _as_batch(upstream, 1, "dense backward", self.runs)
         if xb.shape[-1] != self.in_units or ub.shape != _batch_lead(xb, 1, self.runs) + (self.out_units,):
@@ -186,6 +192,8 @@ class DenseLayer(ParametricStage):
             )
         d_weights = np.matmul(np.swapaxes(ub, -1, -2), xb)
         d_bias = ub.sum(axis=-2)
+        if not input_grad:
+            return DenseGradients(d_weights, d_bias, None)
         d_input = np.matmul(ub, self.weights)
         return DenseGradients(d_weights, d_bias, d_input[0] if single else d_input)
 
@@ -288,17 +296,19 @@ class Conv1DLayer(ParametricStage):
         y = self._convolve(padded)
         return (y[0] if single else y), (padded, single)
 
-    def backprop(self, cache, upstream) -> tuple[np.ndarray, ConvGradients]:
-        grads = self._gradients(*cache, upstream)
+    def backprop(self, cache, upstream, input_grad: bool = True) -> tuple[np.ndarray | None, ConvGradients]:
+        grads = self._gradients(*cache, upstream, input_grad)
         return grads.d_input, grads
 
     def backward(self, x, upstream) -> ConvGradients:
         """Each shared weight's gradient sums its contributions over all
-        positions; d_input is the transposed convolution of the upstream."""
+        positions; d_input is the transposed convolution of the upstream,
+        always formed here, though training's backprop skips it at the
+        first parametric stage."""
         xb, single = self._batched_input(x, "conv backward")
         return self._gradients(self._padded(xb), single, upstream)
 
-    def _gradients(self, padded: np.ndarray, single: bool, upstream) -> ConvGradients:
+    def _gradients(self, padded: np.ndarray, single: bool, upstream, input_grad: bool = True) -> ConvGradients:
         ub, _ = _as_batch(upstream, 2, "conv backward", self.runs)
         out_p = padded.shape[-1] - self.width + 1
         if ub.shape != _batch_lead(padded, 2, self.runs) + (self.out_channels, out_p):
@@ -308,8 +318,10 @@ class Conv1DLayer(ParametricStage):
         d_filters = np.empty_like(self.filters)
         for k in range(self.in_channels):
             for t in range(self.width):
-                d_filters[..., k, t] = np.sum(ub * padded[..., None, k, t : t + out_p], axis=(-3, -1))
+                d_filters[..., k, t] = (ub * padded[..., None, k, t : t + out_p]).sum(axis=(-3, -1))
         d_bias = ub.sum(axis=(-3, -1))
+        if not input_grad:
+            return ConvGradients(d_filters, d_bias, None)
         d_padded = np.zeros(ub.shape[:-2] + padded.shape[-2:])
         for t in range(self.width):
             for c in range(self.out_channels):
@@ -328,9 +340,6 @@ class GlobalMaxPool(Stage):
     Ties break toward the lowest position index so gradients are
     reproducible.  One output value per channel, whatever the input width.
     """
-
-    kind = "global_max"
-    tie_break = "lowest_index"
 
     def forward(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Returns (pooled values, per-channel argmax indices)."""

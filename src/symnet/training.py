@@ -176,13 +176,18 @@ class Network:
 
     def backward_pass(self, caches: list, upstream) -> list:
         """Walks the stages in reverse, chaining input gradients from the
-        gradient at the output of ``forward_pass``."""
+        gradient at the output of ``forward_pass``, and stops at the first
+        parametric stage: that stage forms its parameter gradients alone,
+        never its input gradient, and the parameter-free stages in front
+        of it never run ``backprop``, since nothing reads what they return."""
         if len(caches) != len(self.stages):
             raise ValueError(f"expected {len(self.stages)} caches, got {len(caches)}")
+        first = next((i for i, stage in enumerate(self.stages) if stage.params), len(self.stages))
         grad = np.asarray(upstream, dtype=np.float64)
         collected = []
-        for stage, cache in zip(reversed(self.stages), reversed(caches)):
-            grad, record = stage.backprop(cache, grad)
+        for i in range(len(self.stages) - 1, first - 1, -1):
+            stage, cache = self.stages[i], caches[i]
+            grad, record = stage.backprop(cache, grad, input_grad=False) if i == first else stage.backprop(cache, grad)
             if record is not None:
                 collected.append(record)
         collected.reverse()

@@ -236,10 +236,6 @@ class TestGlobalMaxPool:
         with pytest.raises(ShapeError):
             GlobalMaxPool().forward(np.zeros((2, 0)))
 
-    def test_declared_behaviour_tags(self):
-        assert GlobalMaxPool.kind == "global_max"
-        assert GlobalMaxPool.tie_break == "lowest_index"
-
 
 class TestActivationsAndPlumbing:
     def test_sigmoid_stage_gradient_matches_finite_differences(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _helpers import fd_grad, max_rel_err
-from symnet.layers import Conv1DLayer, DenseGradients, DenseLayer, GlobalMaxPool, Sigmoid, Softmax, Transpose
+from symnet.layers import Conv1DLayer, DenseGradients, DenseLayer, GlobalMaxPool, Sigmoid, Softmax, Stage, Transpose
 from symnet.ndcore import SeededRng, ShapeError, derive_seed, softmax
 from symnet.tasks import make_identity_dataset, make_rule_dataset
 from symnet.training import (
@@ -157,6 +157,46 @@ class TestNetwork:
                         setattr(stage, name, original)
 
                 assert max_rel_err(getattr(record, f"d_{name}"), fd_grad(loss_at, original)) <= 1e-6, name
+
+    @pytest.mark.parametrize("members", [None, 3])
+    @pytest.mark.parametrize("experiment,architecture", [
+        ("identity", "dense"), ("identity", "conv"), ("rule", "dense"), ("rule", "conv"),
+    ])
+    def test_backward_pass_stops_at_the_first_parametric_stage(self, experiment, architecture, members):
+        # the records equal each parametric stage's own backward(x, up), bit
+        # for bit, but carry no input gradient; a stage in front of the first
+        # parametric stage is never backpropagated
+        class Tripwire(Stage):
+            def forward(self, x):
+                return x
+
+            def backprop(self, cache, upstream):
+                raise AssertionError("backprop ran in front of the first parametric stage")
+
+        seeds = [derive_seed(5, experiment, architecture, r) for r in range(members or 1)]
+        nets = [build_network(experiment, architecture, SeededRng(seed)) for seed in seeds]
+        net = nets[0] if members is None else Network.stack(nets)
+        data = (make_identity_dataset() if experiment == "identity" else make_rule_dataset()).train
+        outputs, caches = net.forward_pass(data.inputs)
+        d_out = LOSSES[net.loss](outputs, data.targets)[1]
+        guarded = Network([Tripwire()] + net.stages, net.loss)
+        records = guarded.backward_pass([None] + caches, d_out)
+        assert len(records) == len(net.parametric_stages)
+
+        parametric = [i for i, stage in enumerate(net.stages) if stage.params]
+        for index, record in zip(parametric, records):
+            stage = net.stages[index]
+            x = data.inputs
+            for below in net.stages[:index]:
+                x = below.step(x)[0]
+            up = d_out
+            for above, cache in zip(reversed(net.stages[index + 1:]), reversed(caches[index + 1:])):
+                up = above.backprop(cache, up)[0]
+            want = stage.backward(x, up)
+            for name in stage.params:
+                assert np.array_equal(getattr(record, f"d_{name}"), getattr(want, f"d_{name}")), name
+            assert (record.d_input is None) == (index == parametric[0])
+            assert want.d_input is not None
 
     def test_reinitialize_is_deterministic_and_changes_weights(self):
         a = build_network("identity", "dense", SeededRng(7))
