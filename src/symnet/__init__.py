@@ -18,36 +18,10 @@ from symnet.tasks import Dataset, Vocabulary, encode_sequence, make_identity_dat
 from symnet.harness import ExperimentSpec, build_network, parse_cli, run_experiment, write_report
 
 __all__ = [
-    "SeededRng",
-    "ShapeError",
-    "derive_seed",
-    "init_uniform",
-    "sigmoid",
-    "softmax",
-    "Conv1DLayer",
-    "DenseLayer",
-    "GlobalMaxPool",
-    "Reshape",
-    "Sigmoid",
-    "Softmax",
-    "Transpose",
-    "Network",
-    "RunReport",
-    "TrainConfig",
-    "cross_entropy",
-    "evaluate",
-    "gd_step",
-    "squared_error",
-    "train",
-    "Dataset",
-    "Vocabulary",
-    "encode_sequence",
-    "make_identity_dataset",
-    "make_rule_dataset",
-    "ExperimentSpec",
-    "build_network",
-    "parse_cli",
-    "run_experiment",
-    "write_report",
+    "SeededRng", "ShapeError", "derive_seed", "init_uniform", "sigmoid", "softmax",
+    "Conv1DLayer", "DenseLayer", "GlobalMaxPool", "Reshape", "Sigmoid", "Softmax", "Transpose",
+    "Network", "RunReport", "TrainConfig", "cross_entropy", "evaluate", "gd_step", "squared_error", "train",
+    "Dataset", "Vocabulary", "encode_sequence", "make_identity_dataset", "make_rule_dataset",
+    "ExperimentSpec", "build_network", "parse_cli", "run_experiment", "write_report",
     "__version__",
 ]

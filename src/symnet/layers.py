@@ -83,6 +83,7 @@ class Stage:
     ``step(x) -> (y, cache)`` runs ``forward`` and keeps what backward needs;
     ``backprop(cache, upstream) -> (d_input, record)`` runs ``backward``, and
     ``record`` holds ``d_<name>`` for each name in ``params``, or is None.
+    Max pooling's ``d_input`` is a PoolGradient, an array to ``np.asarray``.
     The defaults fit stages whose ``backward`` needs only the upstream.
     ``Network.backward_pass`` stops at the first parametric stage, so the
     parameter-free stages in front of it never run ``backprop``.
@@ -255,11 +256,6 @@ class Conv1DLayer(ParametricStage):
         padded[..., pad : pad + xb.shape[-1]] = xb
         return padded
 
-    def out_positions(self, positions: int) -> int:
-        if self.padding == PADDING_SAME:
-            return positions
-        return positions - self.width + 1
-
     def _batched_input(self, x, what: str) -> tuple[np.ndarray, bool]:
         xb, single = _as_batch(x, 2, what, self.runs)
         if xb.shape[-2] != self.in_channels:
@@ -297,6 +293,8 @@ class Conv1DLayer(ParametricStage):
         return (y[0] if single else y), (padded, single)
 
     def backprop(self, cache, upstream, input_grad: bool = True) -> tuple[np.ndarray | None, ConvGradients]:
+        if isinstance(upstream, PoolGradient) and not input_grad:
+            return None, self._pooled_gradients(cache[0], upstream)
         grads = self._gradients(*cache, upstream, input_grad)
         return grads.d_input, grads
 
@@ -333,6 +331,45 @@ class Conv1DLayer(ParametricStage):
             d_input = d_padded
         return ConvGradients(d_filters, d_bias, d_input[0] if single else d_input)
 
+    def _pooled_gradients(self, padded: np.ndarray, routed: "PoolGradient") -> ConvGradients:
+        """The parameter gradients of ``_gradients`` for an upstream that max
+        pooling routed, gathered at its argmax: d_filters[c, k, t] is the sum
+        over b of up[b, c] * padded[b, k, argmax[b, c] + t], and d_bias the
+        sum over b of up.  Both add the batch in index order, and the zeros of
+        the dense upstream change no sum, so the bits are the same."""
+        up, _ = _as_batch(routed.values, 1, "conv backward", self.runs)
+        out_p = padded.shape[-1] - self.width + 1
+        if up.shape != _batch_lead(padded, 2, self.runs) + (self.out_channels,) or routed.positions != out_p:
+            raise ShapeError(f"conv backward: pooled upstream {up.shape} of {routed.positions} positions does not fit {padded.shape}")
+        argmax = routed.argmax.reshape(up.shape)
+        rows = np.swapaxes(padded, -1, -2)  # (..., batch, padded positions, in_channels)
+        # an index for each run and batch axis of rows, broadcast against argmax's (runs, batch, channels)
+        lead =tuple(np.arange(n).reshape((n,) + (1,) * (rows.ndim - 2 - i)) for i, n in enumerate(rows.shape[:-2]))
+        d_filters = np.empty_like(self.filters)
+        for t in range(self.width):
+            d_filters[..., t] = (up[..., None] * rows[lead + (argmax + t,)]).sum(axis=-3)
+        return ConvGradients(d_filters, up.sum(axis=-2), None)
+
+
+@dataclass
+class PoolGradient:
+    """The gradient max pooling hands down, kept routed: each pooled value's
+    gradient and its argmax.  A conv gathers its parameter gradients from it;
+    ``np.asarray`` gives any other reader the dense, mostly-zero array."""
+
+    values: np.ndarray
+    argmax: np.ndarray
+    positions: int
+
+    def __post_init__(self):
+        if self.argmax.shape != self.values.shape:
+            raise ShapeError(f"max pool backward: argmax shape {self.argmax.shape} does not match upstream {self.values.shape}")
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        dense = np.zeros(self.values.shape + (self.positions,), dtype=dtype)
+        np.put_along_axis(dense, self.argmax[..., None], self.values[..., None], axis=-1)
+        return dense
+
 
 class GlobalMaxPool(Stage):
     """Passes the maximum value in each channel across all positions.
@@ -349,31 +386,26 @@ class GlobalMaxPool(Stage):
         if arr.shape[-1] < 1:
             raise ShapeError(f"max pool forward: empty position axis in {arr.shape}")
         argmax = np.argmax(arr, axis=-1)  # np.argmax takes the first maximum
-        pooled = np.take_along_axis(arr, argmax[..., None], axis=-1)[..., 0]
+        pooled = arr.reshape(-1, arr.shape[-1])[np.arange(argmax.size), argmax.ravel()].reshape(argmax.shape)
         return pooled, argmax
 
     def step(self, x) -> tuple[np.ndarray, tuple[np.ndarray, int]]:
         pooled, argmax = self.forward(x)
         return pooled, (argmax, np.shape(x)[-1])
 
-    def backprop(self, cache, upstream) -> tuple[np.ndarray, None]:
-        argmax, positions = cache
-        return self.backward(argmax, upstream, positions), None
+    def backprop(self, cache, upstream) -> tuple[PoolGradient, None]:
+        # the argmax comes from this stage's own step, so backward's range check is skipped
+        return PoolGradient(np.asarray(upstream, dtype=np.float64), *cache), None
 
     def backward(self, argmax, upstream, positions: int) -> np.ndarray:
         """Routes each channel's upstream value to its argmax position."""
         ub = np.asarray(upstream, dtype=np.float64)
-        idx = np.asarray(argmax)
         if ub.ndim < 1:
             raise ShapeError(f"max pool backward: expected one value per channel, got shape {ub.shape}")
-        if idx.shape != ub.shape:
-            raise ValueError(f"max pool backward: argmax shape {idx.shape} does not match upstream {ub.shape}")
-        idx = idx.astype(np.int64)
+        idx = np.asarray(argmax).astype(np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= positions):
             raise ValueError(f"max pool backward: argmax indices out of range for {positions} positions")
-        d_input = np.zeros(ub.shape + (positions,))
-        np.put_along_axis(d_input, idx[..., None], ub[..., None], axis=-1)
-        return d_input
+        return np.asarray(PoolGradient(ub, idx, positions))
 
 
 class Sigmoid(Stage):

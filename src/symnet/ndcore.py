@@ -23,17 +23,9 @@ class ShapeError(ValueError):
     """Raised when tensor shapes do not satisfy an operation's contract."""
 
 
-def tensor(data, shape: Sequence[int] | None = None) -> np.ndarray:
-    """Build a validated float64 array: C-order, finite everywhere.
-
-    ``shape`` optionally reshapes flat input data.
-    """
+def tensor(data) -> np.ndarray:
+    """Build a validated float64 array: C-order, finite everywhere."""
     arr = np.ascontiguousarray(data, dtype=np.float64)
-    if shape is not None:
-        expected = math.prod(shape)
-        if arr.size != expected:
-            raise ShapeError(f"cannot shape {arr.size} values into {tuple(shape)}")
-        arr = arr.reshape(tuple(shape))
     _require_finite("tensor", arr)
     return arr
 

@@ -23,6 +23,7 @@ from symnet.layers import Softmax
 from symnet.ndcore import ShapeError, softmax
 
 PROB_FLOOR = 1e-12
+CUTOFF = 0.5  # discretise's threshold; outputs at it count as 1
 
 
 def _runs(p: np.ndarray, t: np.ndarray, what: str) -> int | None:
@@ -209,14 +210,14 @@ def gd_step(network: Network, gradients: list, learning_rate: float) -> Network:
     return network
 
 
-def discretise(outputs, cutoff: float = 0.5) -> np.ndarray:
-    """Thresholds activations to 0/1 bits; values at the cutoff count as 1."""
+def discretise(outputs) -> np.ndarray:
+    """Thresholds activations to 0/1 bits; values at ``CUTOFF`` count as 1."""
     arr = np.asarray(outputs, dtype=np.float64)
     with np.errstate(invalid="ignore"):
-        return (arr >= cutoff).astype(np.float64)
+        return (arr >= CUTOFF).astype(np.float64)
 
 
-def evaluate(network: Network, data, cutoff: float = 0.5) -> float | np.ndarray:
+def evaluate(network: Network, data) -> float | np.ndarray:
     """Exact-match accuracy: an instance counts only if every discretised
     output equals the target bit.  Non-finite outputs never count.
 
@@ -230,7 +231,7 @@ def evaluate(network: Network, data, cutoff: float = 0.5) -> float | np.ndarray:
         raise ShapeError(f"evaluate: predictions {preds.shape} vs targets {t.shape}")
     if t.shape[0] == 0:
         raise ValueError("evaluate: empty instance set")
-    bits = discretise(preds, cutoff)
+    bits = discretise(preds)
     instance_axes = tuple(range(-t.ndim + 1, 0))
     hit = np.all(bits == t, axis=instance_axes) & np.all(np.isfinite(preds), axis=instance_axes)
     if runs is None:

@@ -237,6 +237,76 @@ class TestGlobalMaxPool:
             GlobalMaxPool().forward(np.zeros((2, 0)))
 
 
+class TestPoolGradient:
+    """Max pooling's backprop hands down a routed PoolGradient; it must give
+    exactly what the dense upstream from ``GlobalMaxPool.backward`` gives."""
+
+    @staticmethod
+    def _tied(rng, shape):
+        # half the instances repeat a period-3 pattern of columns, so their
+        # conv outputs, and the maxima over them, tie across positions
+        x = rng.uniform(-1, 1, shape)
+        x[..., ::2, :, :] = x[..., ::2, :, np.arange(shape[-1]) % 3]
+        return x
+
+    @pytest.mark.parametrize("padding,width", [("none", 1), ("zero_same", 3)])
+    @pytest.mark.parametrize("members,per_member", [(None, False), (1, False), (1, True), (5, False), (5, True)])
+    def test_routed_gradient_equals_the_dense_one(self, padding, width, members, per_member):
+        rng = np.random.default_rng(61)
+        lead = () if members is None else (members,)
+        conv = Conv1DLayer(rng.uniform(-1, 1, lead + (2, 3, width)), rng.uniform(-1, 1, lead + (2,)), padding=padding)
+        x = self._tied(rng, lead * per_member + (8, 3, 12))
+        pool = GlobalMaxPool()
+        y, conv_cache = conv.step(x)
+        pooled, pool_cache = pool.step(y)
+        argmax, positions = pool_cache
+        assert ((y == pooled[..., None]).sum(axis=-1) > 1).any()  # some argmax broke a tie
+        up = rng.uniform(-1, 1, pooled.shape)
+
+        routed, record = pool.backprop(pool_cache, up)
+        assert record is None
+        dense_up = pool.backward(argmax, up, positions)
+        want = conv.backward(x, dense_up)
+        for input_grad in (False, True):
+            d_input, got = conv.backprop(conv_cache, routed, input_grad=input_grad)
+            assert np.array_equal(got.d_filters, want.d_filters)
+            assert np.array_equal(got.d_bias, want.d_bias)
+            assert d_input is None if not input_grad else np.array_equal(d_input, want.d_input)
+
+    @pytest.mark.parametrize("shape", [(4, 32, 2, 12), (32, 2, 12), (2, 5), (3, 1, 7)])
+    def test_dense_view_equals_backward(self, shape):
+        rng = np.random.default_rng(67)
+        pool = GlobalMaxPool()
+        x = rng.integers(0, 3, shape) / 2.0  # three values: most maxima tie
+        pooled, cache = pool.step(x)
+        up = rng.uniform(-1, 1, pooled.shape)
+        routed = pool.backprop(cache, up)[0]
+        dense = pool.backward(cache[0], up, shape[-1])
+        assert np.asarray(routed).tobytes() == dense.tobytes()
+        assert np.asarray(routed, dtype=np.float64).shape == dense.shape
+
+    @pytest.mark.parametrize("shape", [(4, 32, 2, 12), (2, 5), (3, 1, 7), (1, 6)])
+    def test_flat_index_pooling_equals_take_along_axis(self, shape):
+        rng = np.random.default_rng(71)
+        x = rng.integers(0, 3, shape) / 2.0
+        x[..., 0] = -0.0  # a tie between -0.0 and 0.0 keeps the first one's sign
+        x[..., -1] = 0.0
+        pooled, argmax = GlobalMaxPool().forward(x)
+        want = np.take_along_axis(x, argmax[..., None], axis=-1)[..., 0]
+        assert pooled.tobytes() == want.tobytes()
+        assert pooled.shape == argmax.shape == shape[:-1]
+
+    def test_routed_shapes_are_checked(self):
+        pool = GlobalMaxPool()
+        _, cache = pool.step(np.zeros((4, 2, 12)))
+        with pytest.raises(ShapeError):
+            pool.backprop(cache, np.zeros((4, 3)))
+        conv = Conv1DLayer(np.zeros((2, 3, 1)), np.zeros(2), padding="none")
+        _, conv_cache = conv.step(np.zeros((4, 3, 10)))  # 10 positions, not the 12 pooled
+        with pytest.raises(ShapeError):
+            conv.backprop(conv_cache, pool.backprop(cache, np.zeros((4, 2)))[0], input_grad=False)
+
+
 class TestActivationsAndPlumbing:
     def test_sigmoid_stage_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(12)
@@ -339,7 +409,7 @@ class TestRunAxis:
         ensemble = Conv1DLayer(filters, bias, padding=padding)
         shared = rng.uniform(-1, 1, (6, in_c, positions))
         per_run = rng.uniform(-1, 1, (3, 6, in_c, positions))
-        out_p = ensemble.out_positions(positions)
+        out_p = positions if padding == "zero_same" else positions - width + 1
         upstream = rng.uniform(-1, 1, (3, 6, out_c, out_p))
         for x in (shared, per_run):
             y = ensemble.forward(x)

@@ -18,10 +18,6 @@ class TestTensor:
         with pytest.raises(ValueError):
             tensor([float("inf")])
 
-    def test_explicit_shape_must_match(self):
-        with pytest.raises(ShapeError):
-            tensor([1.0, 2.0, 3.0], shape=(2, 2))
-
 
 class TestSigmoid:
     def test_midpoint(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _helpers import fd_grad, max_rel_err
-from symnet.layers import Conv1DLayer, DenseGradients, DenseLayer, GlobalMaxPool, Sigmoid, Softmax, Stage, Transpose
+from symnet.layers import Conv1DLayer, DenseGradients, DenseLayer, GlobalMaxPool, PoolGradient, Sigmoid, Softmax, Stage, Transpose
 from symnet.ndcore import SeededRng, ShapeError, derive_seed, softmax
 from symnet.tasks import make_identity_dataset, make_rule_dataset
 from symnet.training import (
@@ -197,6 +197,41 @@ class TestNetwork:
                 assert np.array_equal(getattr(record, f"d_{name}"), getattr(want, f"d_{name}")), name
             assert (record.d_input is None) == (index == parametric[0])
             assert want.d_input is not None
+
+    @pytest.mark.parametrize("members", [None, 3])
+    @pytest.mark.parametrize("architecture", ["dense", "conv"])
+    def test_rule_nets_train_on_the_routed_max_pool_gradient(self, architecture, members, monkeypatch):
+        # max pooling hands down a routed PoolGradient.  rule/conv gathers
+        # from it and never asks for the dense array; rule/dense reads the
+        # dense array once per epoch.  Both train bit for bit as they do when
+        # max pooling hands down GlobalMaxPool.backward's dense gradient
+        data = make_rule_dataset().train
+        config = TrainConfig(epochs=40, learning_rate=0.1)
+
+        def trained():
+            nets = [build_network("rule", architecture, SeededRng(derive_seed(9, architecture, r))) for r in range(members or 1)]
+            net = nets[0] if members is None else Network.stack(nets)
+            results = train(net, data, config)
+            return net, results if members else [results]
+
+        reads = []
+        densify = PoolGradient.__array__
+
+        def tripwire(self, dtype=None, copy=None):
+            if architecture == "conv":
+                raise AssertionError("rule/conv materialised the dense max-pool gradient")
+            reads.append(self.values.shape)
+            return densify(self, dtype, copy)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(PoolGradient, "__array__", tripwire)
+            routed, routed_results = trained()
+        assert len(reads) == (config.epochs if architecture == "dense" else 0)
+        with monkeypatch.context() as patch:
+            patch.setattr(GlobalMaxPool, "backprop", lambda self, cache, up: (self.backward(cache[0], up, cache[1]), None))
+            dense, dense_results = trained()
+        assert _same_parameters(routed, dense)
+        assert [r.losses for r in routed_results] == [r.losses for r in dense_results]
 
     def test_reinitialize_is_deterministic_and_changes_weights(self):
         a = build_network("identity", "dense", SeededRng(7))
