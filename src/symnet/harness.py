@@ -2,14 +2,13 @@
 
 Executes the 100-run protocol for one experiment, for one or both
 architectures, and renders the per-run and aggregate results as CSV, JSON,
-or a Markdown table.  The runs of one architecture train together as one
-ensemble along a leading run axis; with several workers each process
-trains a contiguous slice of that axis.  Every run's seed is mixed from the
-master seed, the architecture id, and the run index, so reports are
-byte-identical across reruns and worker counts on the same numpy/BLAS build
-(dense layers contract through BLAS, whose kernels can round differently on
-other builds or CPUs), and enabling the second architecture never shifts
-the first one's streams.
+or a Markdown table.  The runs of one architecture train as one ensemble
+along a leading run axis; several workers split the architecture-major
+list of (architecture, run) pairs into contiguous slices.  Every run's seed
+is mixed from the master seed, the architecture id, and the run index, so
+reports are byte-identical across reruns and worker counts on the same
+numpy/BLAS build and CPU, and enabling the second architecture never
+shifts the first one's streams.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from itertools import groupby
 
 from symnet.ndcore import SeededRng, derive_seed
 from symnet.layers import Conv1DLayer, DenseLayer, GlobalMaxPool, Reshape, Sigmoid, Transpose
@@ -193,8 +193,22 @@ def execute_run(
     return execute_runs(experiment, architecture, [run_index], [seed], config, filter_width)[0]
 
 
-def _execute_slice(jobs: list[tuple]) -> list[RunReport]:
-    return [row for job in jobs for row in execute_runs(*job)]
+def _slices(spec: ExperimentSpec, workers: int) -> list[list[tuple[str, list[int]]]]:
+    """``run_experiment``'s plan: every (architecture, run index) pair, architecture-major, cut into
+    ``min(workers, pairs)`` contiguous slices, each listed as the (architecture, run indices) cells it touches."""
+    pairs = [(arch, i) for arch in spec.architectures for i in range(spec.runs)]
+    count = min(workers, len(pairs))
+    chunks = (pairs[len(pairs) * s // count : len(pairs) * (s + 1) // count] for s in range(count))
+    return [[(arch, [i for _, i in cell]) for arch, cell in groupby(chunk, key=lambda pair: pair[0])] for chunk in chunks]
+
+
+def _execute_slice(spec: ExperimentSpec, config: TrainConfig, cells: list[tuple[str, list[int]]]) -> list[RunReport]:
+    """Trains one ensemble per cell of a ``_slices`` slice."""
+    rows = []
+    for arch, indices in cells:
+        seeds = [derive_seed(spec.master_seed, f"{spec.experiment}_{arch}", i) for i in indices]
+        rows.extend(execute_runs(spec.experiment, arch, indices, seeds, config, spec.filter_width))
+    return rows
 
 
 def _mean(values: list[float]) -> float | None:
@@ -206,36 +220,25 @@ def _mean(values: list[float]) -> float | None:
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentReport:
     """Runs spec.runs seeded runs per architecture and aggregates them.
 
-    The run axis is cut into ``workers`` contiguous slices, at most one per
-    run.  The calling process trains the first slice of every architecture
-    while a process pool trains the others, each slice as one ensemble per
-    architecture.  Child seeds depend only on (master seed,
-    architecture id, run index), every member of an ensemble computes
-    exactly what it would alone, and rows are merged back in run order, so
-    the report is a pure function of its ExperimentSpec whatever the worker
-    count.
+    ``_slices`` cuts the runs into at most ``workers`` slices of whole
+    architectures where it can; the calling process trains the first and a
+    process pool the others, each as one ensemble per architecture it
+    touches.  Child seeds depend only on (master seed, architecture id, run
+    index), every ensemble member computes exactly what it would alone,
+    and rows are merged by (architecture, run index), so the report is a
+    pure function of its ExperimentSpec whatever the worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     config = resolved_train_config(spec)
-    slices = min(workers, spec.runs)
-    bounds = [spec.runs * s // slices for s in range(slices + 1)]
-    jobs = []
-    for s in range(slices):
-        indices = range(bounds[s], bounds[s + 1])
-        jobs.append([
-            (spec.experiment, arch, indices, [derive_seed(spec.master_seed, f"{spec.experiment}_{arch}", i) for i in indices],
-             config, spec.filter_width)
-            for arch in spec.architectures
-        ])
-    if slices == 1:
-        rows = _execute_slice(jobs[0])
+    first, *rest = _slices(spec, workers)
+    if not rest:
+        rows = _execute_slice(spec, config, first)
     else:
-        with ProcessPoolExecutor(max_workers=slices - 1) as pool:
-            futures = [pool.submit(_execute_slice, slice_jobs) for slice_jobs in jobs[1:]]
-            rows = _execute_slice(jobs[0])
-            for future in futures:
-                rows.extend(future.result())
+        with ProcessPoolExecutor(max_workers=len(rest)) as pool:
+            futures = [pool.submit(_execute_slice, spec, config, cells) for cells in rest]
+            rows = _execute_slice(spec, config, first)
+            rows += [row for future in futures for row in future.result()]
 
     arch_reports = []
     for arch in spec.architectures:

@@ -124,9 +124,6 @@ class Network:
         stages = self.parametric_stages
         return stages[0].runs if stages else None
 
-    def parameter_count(self) -> int:
-        return sum(getattr(stage, name).size for stage in self.stages for name in stage.params)
-
     def reinitialize(self, rng) -> None:
         """Redraws every parametric stage, in forward order, from ``rng``:
         one SeededRng, or for an ensemble one per member."""

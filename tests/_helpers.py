@@ -1,4 +1,5 @@
-"""Shared test utilities: central-difference gradients and error metrics."""
+"""Shared test utilities: central-difference gradients, error metrics and
+parameter counts."""
 
 import numpy as np
 
@@ -41,3 +42,8 @@ def quadratic_loss(y):
     """0.5 * sum(y^2); its gradient with respect to y is y itself."""
     y = np.asarray(y, dtype=np.float64)
     return 0.5 * float(np.sum(y * y))
+
+
+def parameter_count(net):
+    """Scalars across every parameter of every stage of ``net``."""
+    return sum(getattr(stage, name).size for stage in net.stages for name in stage.params)

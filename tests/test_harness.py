@@ -1,7 +1,9 @@
 """Experiment runner: network construction, seeding, reports, CLI."""
 
+import functools
 import hashlib
 import json
+import multiprocessing
 from dataclasses import asdict
 from pathlib import Path
 
@@ -9,11 +11,14 @@ import numpy as np
 import pytest
 
 import symnet
+from _helpers import parameter_count
+from symnet import harness
 from symnet.ndcore import SeededRng, derive_seed
 from symnet.tasks import make_identity_dataset, make_rule_dataset
 from symnet.training import TrainConfig
 from symnet.harness import (
     ExperimentSpec,
+    _slices,
     build_network,
     execute_run,
     main,
@@ -54,9 +59,9 @@ class TestBuildNetwork:
             assert float(np.sum(out)) == pytest.approx(1.0, abs=1e-12)
 
     def test_filter_width_knob_changes_identity_conv_only(self):
-        assert build_network("identity", "conv", SeededRng(0), filter_width=1).parameter_count() == 2
-        assert build_network("identity", "conv", SeededRng(0), filter_width=3).parameter_count() == 4
-        assert build_network("rule", "conv", SeededRng(0), filter_width=3).parameter_count() == 8
+        assert parameter_count(build_network("identity", "conv", SeededRng(0), filter_width=1)) == 2
+        assert parameter_count(build_network("identity", "conv", SeededRng(0), filter_width=3)) == 4
+        assert parameter_count(build_network("rule", "conv", SeededRng(0), filter_width=3)) == 8
 
     def test_rule_dense_hidden_width(self):
         net = build_network("rule", "dense", SeededRng(0))
@@ -176,13 +181,28 @@ class TestRunExperiment:
             assert again == row
 
     def test_parallel_execution_matches_serial(self):
-        # 4 runs cut into uneven slices of 1, 1 and 2; 2 runs leave the third
-        # worker without a slice
+        # 8 pairs cut into slices of 2, 3 and 3, the middle one straddling
+        # the architecture boundary; 4 pairs cut into 1, 1 and 2, which
+        # splits dense and leaves conv whole
         for runs in (4, 2):
             spec = small_spec(architectures=("dense", "conv"), runs=runs)
             serial = run_experiment(spec)
             parallel = run_experiment(spec, workers=3)
             assert render_csv(serial) == render_csv(parallel), runs
+
+    @pytest.mark.parametrize("runs", [4, 1])
+    def test_one_architecture_per_worker_matches_serial(self, runs):
+        spec = small_spec(architectures=("dense", "conv"), runs=runs)
+        assert render_csv(run_experiment(spec, workers=2)) == render_csv(run_experiment(spec))
+
+    def test_spawned_pool_matches_serial(self, monkeypatch):
+        # a fresh interpreter per worker pickles every job and imports the
+        # package anew, as the forkserver default of newer Pythons does
+        spawn = functools.partial(harness.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
+        spec = small_spec(architectures=("dense", "conv"), runs=2)
+        serial = render_csv(run_experiment(spec))
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", spawn)
+        assert render_csv(run_experiment(spec, workers=2)) == serial
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_are_rejected(self, workers):
@@ -194,6 +214,38 @@ class TestRunExperiment:
         report = run_experiment(spec)
         for row in report.architectures[0].runs:
             assert row.restarts <= 50
+
+
+class TestSlices:
+    @pytest.mark.parametrize("runs", [1, 2, 3, 4, 7, 100])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5, 8])
+    def test_every_pair_once_in_architecture_major_order(self, runs, workers):
+        plan = _slices(small_spec(architectures=("dense", "conv"), runs=runs), workers)
+        pairs = [(arch, i) for cells in plan for arch, indices in cells for i in indices]
+        assert pairs == [(arch, i) for arch in ("dense", "conv") for i in range(runs)]
+        assert len(plan) == min(workers, 2 * runs)
+        # near-equal slices, each training one ensemble per architecture it touches
+        sizes = [sum(len(indices) for _, indices in cells) for cells in plan]
+        assert max(sizes) - min(sizes) <= 1
+        for cells in plan:
+            archs = [arch for arch, _ in cells]
+            assert len(set(archs)) == len(archs)
+
+    @pytest.mark.parametrize("runs", [1, 2, 100])
+    def test_no_more_workers_than_architectures_splits_no_cell(self, runs):
+        plan = _slices(small_spec(architectures=("dense", "conv"), runs=runs), 2)
+        assert plan == [[("dense", list(range(runs)))], [("conv", list(range(runs)))]]
+
+    def test_workers_beyond_the_pairs_start_no_pool(self, monkeypatch):
+        spec = small_spec(runs=1)
+        assert _slices(spec, 3) == [[("conv", [0])]]
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single slice must not start a process pool")
+
+        serial = render_csv(run_experiment(spec))
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        assert render_csv(run_experiment(spec, workers=3)) == serial
 
 
 class TestReports:

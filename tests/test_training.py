@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from _helpers import fd_grad, max_rel_err
+from _helpers import fd_grad, max_rel_err, parameter_count
 from symnet.layers import Conv1DLayer, DenseGradients, DenseLayer, GlobalMaxPool, PoolGradient, Sigmoid, Softmax, Stage, Transpose
 from symnet.ndcore import SeededRng, ShapeError, derive_seed, softmax
 from symnet.tasks import make_identity_dataset, make_rule_dataset
@@ -115,10 +115,10 @@ class TestNetwork:
         assert net.predict(x).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_parameter_counts(self):
-        assert build_network("identity", "dense", SeededRng(0)).parameter_count() == 30
-        assert build_network("identity", "conv", SeededRng(0)).parameter_count() == 6
-        assert build_network("rule", "conv", SeededRng(0)).parameter_count() == 8
-        assert build_network("rule", "dense", SeededRng(0)).parameter_count() == 36 * 24 + 24
+        assert parameter_count(build_network("identity", "dense", SeededRng(0))) == 30
+        assert parameter_count(build_network("identity", "conv", SeededRng(0))) == 6
+        assert parameter_count(build_network("rule", "conv", SeededRng(0))) == 8
+        assert parameter_count(build_network("rule", "dense", SeededRng(0))) == 36 * 24 + 24
 
     def test_softmax_backward_requires_fused_loss(self):
         # a Softmax stage inside the trained pipeline cannot be backpropagated;
@@ -538,7 +538,7 @@ class TestEnsemble:
         nets = [build_network("rule", "dense", SeededRng(seed)) for seed in range(4)]
         ensemble = Network.stack(nets)
         assert ensemble.runs == 4
-        assert ensemble.parameter_count() == 4 * nets[0].parameter_count()
+        assert parameter_count(ensemble) == 4 * parameter_count(nets[0])
         assert _same_parameters(ensemble.select(2), nets[2])
         picked = ensemble.select(np.array([3, 0]))
         assert picked.runs == 2 and _same_parameters(picked.select(0), nets[3])
