@@ -14,14 +14,14 @@ __version__ = "0.1.0"
 from symnet.ndcore import SeededRng, ShapeError, derive_seed, init_uniform, sigmoid, softmax
 from symnet.layers import Conv1DLayer, DenseLayer, GlobalMaxPool, Reshape, Sigmoid, Softmax, Transpose
 from symnet.training import Network, RunReport, TrainConfig, cross_entropy, evaluate, gd_step, squared_error, train
-from symnet.tasks import Dataset, Vocabulary, encode_sequence, make_identity_dataset, make_rule_dataset
-from symnet.harness import ExperimentSpec, build_network, parse_cli, run_experiment, write_report
+from symnet.tasks import Dataset, encode_sequence, make_identity_dataset, make_rule_dataset
+from symnet.harness import ExperimentSpec, build_network, parse_cli, run_experiment
 
 __all__ = [
     "SeededRng", "ShapeError", "derive_seed", "init_uniform", "sigmoid", "softmax",
     "Conv1DLayer", "DenseLayer", "GlobalMaxPool", "Reshape", "Sigmoid", "Softmax", "Transpose",
     "Network", "RunReport", "TrainConfig", "cross_entropy", "evaluate", "gd_step", "squared_error", "train",
-    "Dataset", "Vocabulary", "encode_sequence", "make_identity_dataset", "make_rule_dataset",
-    "ExperimentSpec", "build_network", "parse_cli", "run_experiment", "write_report",
+    "Dataset", "encode_sequence", "make_identity_dataset", "make_rule_dataset",
+    "ExperimentSpec", "build_network", "parse_cli", "run_experiment",
     "__version__",
 ]

@@ -30,7 +30,6 @@ from symnet.tasks import Dataset, dataset_to_csv, make_identity_dataset, make_ru
 EXPERIMENTS = ("identity", "rule")
 ARCHITECTURES = ("dense", "conv")  # report order: unconstrained first
 ARCH_LABELS = {"dense": "Unconstrained", "conv": "Convolutional"}
-FORMATS = ("csv", "json", "md")
 
 # defaults validated against the acceptance suite; see README
 DEFAULT_LEARNING_RATES = {"identity": 1.0, "rule": 0.1}
@@ -57,6 +56,8 @@ class ExperimentSpec:
         for arch in self.architectures:
             if arch not in ARCHITECTURES:
                 raise ValueError(f"unknown architecture {arch!r}; expected a subset of {ARCHITECTURES}")
+        if len(set(self.architectures)) != len(self.architectures):
+            raise ValueError(f"architectures must not repeat, got {self.architectures}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if not 0 <= self.master_seed < 2**64:
@@ -352,12 +353,6 @@ def _write_text(text: str, path: str | None) -> None:
         handle.write(text)
 
 
-def write_report(report: ExperimentReport, output_format: str, path: str | None = None) -> None:
-    if output_format not in RENDERERS:
-        raise ValueError(f"unknown format {output_format!r}; expected one of {FORMATS}")
-    _write_text(RENDERERS[output_format](report), path)
-
-
 class _Parser(argparse.ArgumentParser):
     # usage problems exit with code 1; argparse's default is 2
     def error(self, message):
@@ -381,7 +376,7 @@ def parse_cli(argv=None) -> tuple[ExperimentSpec, argparse.Namespace]:
     parser.add_argument("--lr", type=float, default=None, help="learning rate (default 1.0 for identity, 0.1 for rule)")
     parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     parser.add_argument("--max-restarts", type=int, default=None, help="restart budget per run below 100%% training accuracy (default 0 for identity, 50 for rule)")
-    parser.add_argument("--format", default="md", choices=FORMATS, help="report format (default md)")
+    parser.add_argument("--format", default="md", choices=tuple(RENDERERS), help="report format (default md)")
     parser.add_argument("--out", default=None, metavar="PATH", help="report destination (default stdout)")
     parser.add_argument("--filter-width", type=int, default=5, help="filter width for the identity conv network (default 5)")
     parser.add_argument("--export-dataset", default=None, metavar="PATH", help="also write the experiment's dataset as CSV")
@@ -412,7 +407,7 @@ def main(argv=None) -> int:
         if args.export_dataset is not None:
             _write_text(dataset_to_csv(make_dataset(spec.experiment)), args.export_dataset)
         report = run_experiment(spec)
-        write_report(report, args.format, args.out)
+        _write_text(RENDERERS[args.format](report), args.out)
     except OSError as exc:
         target = getattr(exc, "filename", None) or args.out or args.export_dataset
         print(f"symnet: error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)

@@ -31,7 +31,6 @@ from symnet.ndcore import SeededRng, ShapeError, init_uniform, sigmoid, softmax,
 
 PADDING_SAME = "zero_same"
 PADDING_NONE = "none"
-INIT_HALF_WIDTH = 0.5  # weights start uniform in [-0.5, 0.5]
 
 
 def _as_batch(x, inner_ndim: int, what: str, runs: int | None = None) -> tuple[np.ndarray, bool]:
@@ -138,9 +137,9 @@ class ParametricStage(Stage):
             if name == "bias":
                 new = np.zeros_like(old)
             elif runs is None:
-                new = init_uniform(rng, old.shape, INIT_HALF_WIDTH)
+                new = init_uniform(rng, old.shape)
             else:
-                new = np.stack([init_uniform(member, old.shape[1:], INIT_HALF_WIDTH) for member in rng])
+                new = np.stack([init_uniform(member, old.shape[1:]) for member in rng])
             setattr(self, name, new)
 
 
@@ -170,7 +169,7 @@ class DenseLayer(ParametricStage):
 
     @classmethod
     def from_rng(cls, rng: SeededRng, in_units: int, out_units: int) -> "DenseLayer":
-        return cls(init_uniform(rng, (out_units, in_units), INIT_HALF_WIDTH), np.zeros(out_units))
+        return cls(init_uniform(rng, (out_units, in_units)), np.zeros(out_units))
 
     def forward(self, x) -> np.ndarray:
         """y = x W^T + b.  With a run axis, ``np.matmul`` makes the same BLAS
@@ -245,7 +244,7 @@ class Conv1DLayer(ParametricStage):
         width: int,
         padding: str = PADDING_SAME,
     ) -> "Conv1DLayer":
-        filters = init_uniform(rng, (out_channels, in_channels, width), INIT_HALF_WIDTH)
+        filters = init_uniform(rng, (out_channels, in_channels, width))
         return cls(filters, np.zeros(out_channels), padding)
 
     def _padded(self, xb: np.ndarray) -> np.ndarray:
@@ -272,9 +271,7 @@ class Conv1DLayer(ParametricStage):
         for different memory layouts, which would break bit-level
         reproducibility of whole training runs.
         """
-        xb, single = self._batched_input(x, "conv forward")
-        y = self._convolve(self._padded(xb))
-        return y[0] if single else y
+        return self.step(x)[0]
 
     def _convolve(self, padded: np.ndarray) -> np.ndarray:
         out_p = padded.shape[-1] - self.width + 1
@@ -432,7 +429,7 @@ class Softmax(Stage):
     with a loss that applies the softmax itself."""
 
     def forward(self, x) -> np.ndarray:
-        return softmax(x, axis=-1)
+        return softmax(x)
 
     def backprop(self, cache, upstream):
         raise ValueError("softmax has no backward; train on logits with the cross_entropy loss")

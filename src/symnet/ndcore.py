@@ -17,6 +17,7 @@ import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+INIT_HALF_WIDTH = 0.5  # weights start uniform in [-0.5, 0.5]
 
 
 class ShapeError(ValueError):
@@ -46,14 +47,14 @@ def sigmoid(x) -> np.ndarray:
     return np.where(arr < 0.0, e / (1.0 + e), 1.0 / (1.0 + e))
 
 
-def softmax(logits, axis: int = -1) -> np.ndarray:
-    """Probability vector exp(x_i) / sum exp(x_j), max-subtracted for stability."""
+def softmax(logits) -> np.ndarray:
+    """Probability vector exp(x_i) / sum exp(x_j) over the last axis, max-subtracted for stability."""
     arr = np.asarray(logits, dtype=np.float64)
-    if arr.shape == () or arr.shape[axis] < 1:
-        raise ShapeError(f"softmax needs at least one logit along axis {axis}, got {arr.shape}")
-    shifted = arr - arr.max(axis=axis, keepdims=True)
+    if arr.shape == () or arr.shape[-1] < 1:
+        raise ShapeError(f"softmax needs at least one logit along the last axis, got {arr.shape}")
+    shifted = arr - arr.max(axis=-1, keepdims=True)
     expd = np.exp(shifted)
-    out = expd / expd.sum(axis=axis, keepdims=True)
+    out = expd / expd.sum(axis=-1, keepdims=True)
     _require_finite("softmax", out)
     return out
 
@@ -124,15 +125,13 @@ class SeededRng:
         return (self.next_u64() >> 11) * 1.1102230246251565e-16
 
 
-def init_uniform(rng: SeededRng, shape: Sequence[int], half_width: float) -> np.ndarray:
-    """Tensor of i.i.d. uniform draws in [-half_width, +half_width].
+def init_uniform(rng: SeededRng, shape: Sequence[int]) -> np.ndarray:
+    """Tensor of i.i.d. uniform draws in [-INIT_HALF_WIDTH, +INIT_HALF_WIDTH].
 
     Consumes one rng draw per element in row-major order, so a given seed
     always yields the same tensor.
     """
-    if half_width <= 0:
-        raise ValueError(f"half_width must be positive, got {half_width}")
     shape = tuple(int(d) for d in shape)
     n = math.prod(shape)
     values = np.fromiter((rng.uniform() for _ in range(n)), dtype=np.float64, count=n)
-    return (2.0 * half_width * values - half_width).reshape(shape)
+    return (2.0 * INIT_HALF_WIDTH * values - INIT_HALF_WIDTH).reshape(shape)

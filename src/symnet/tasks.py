@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the vocabulary: a word's index here is its one-hot row
 WORDS = ("ga", "ti", "wo", "na", "gi", "la", "li", "fe", "ko", "ni", "ta", "de")
 
 TRAIN_A_WORDS = ("ga", "li", "ni", "ta")
@@ -30,32 +31,7 @@ TEST_PAIRS = (("wo", "fe"), ("de", "ko"))
 LABELS = {"ABA": (1.0, 0.0), "ABB": (0.0, 1.0)}
 
 
-@dataclass(frozen=True)
-class Vocabulary:
-    """Fixed, ordered word list; the index of a word is its one-hot row."""
-
-    words: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(set(self.words)) != len(self.words):
-            raise ValueError("vocabulary words must be distinct")
-        if not self.words:
-            raise ValueError("vocabulary must not be empty")
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def index(self, word: str) -> int:
-        try:
-            return self.words.index(word)
-        except ValueError:
-            raise ValueError(f"word {word!r} is not in the vocabulary") from None
-
-
-DEFAULT_VOCABULARY = Vocabulary(WORDS)
-
-
-def encode_sequence(words, vocabulary: Vocabulary = DEFAULT_VOCABULARY) -> np.ndarray:
+def encode_sequence(words) -> np.ndarray:
     """One-hot matrix of shape (vocabulary size, sequence length).
 
     Row w, column s is 1 exactly when sequence slot s holds word w, so each
@@ -64,9 +40,11 @@ def encode_sequence(words, vocabulary: Vocabulary = DEFAULT_VOCABULARY) -> np.nd
     words = tuple(words)
     if not words:
         raise ValueError("cannot encode an empty sequence")
-    out = np.zeros((len(vocabulary), len(words)))
+    out = np.zeros((len(WORDS), len(words)))
     for slot, word in enumerate(words):
-        out[vocabulary.index(word), slot] = 1.0
+        if word not in WORDS:
+            raise ValueError(f"word {word!r} is not in the vocabulary")
+        out[WORDS.index(word), slot] = 1.0
     return out
 
 
@@ -98,10 +76,9 @@ class Dataset:
     test: DataSplit
 
 
-def make_identity_dataset(bit_count: int = 5) -> Dataset:
-    """Identity mapping on binary numerals, evens for training, odds for test."""
-    if bit_count < 2:
-        raise ValueError("need at least 2 bits to split evens from odds")
+def make_identity_dataset() -> Dataset:
+    """Identity mapping on 5-bit binary numerals, evens for training, odds for test."""
+    bit_count = 5
 
     def split(name: str, values: range) -> DataSplit:
         inputs = np.stack([encode_number(v, bit_count) for v in values])

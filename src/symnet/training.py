@@ -73,7 +73,7 @@ def cross_entropy(probabilities, targets) -> tuple[float, np.ndarray]:
 
 def softmax_cross_entropy(logits, targets) -> tuple[float, np.ndarray]:
     """cross_entropy of softmax(logits); the gradient is at the logits."""
-    return cross_entropy(softmax(logits, axis=-1), targets)
+    return cross_entropy(softmax(logits), targets)
 
 
 # Every loss takes the network's trained output and returns (loss, gradient

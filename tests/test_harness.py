@@ -28,7 +28,6 @@ from symnet.harness import (
     render_markdown,
     resolved_train_config,
     run_experiment,
-    write_report,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -111,6 +110,13 @@ class TestExperimentSpec:
             ExperimentSpec(experiment="rule", filter_width=3)
         assert ExperimentSpec(experiment="rule", filter_width=5).filter_width == 5
         assert ExperimentSpec(experiment="identity", filter_width=3).filter_width == 3
+
+    def test_repeated_architecture_is_rejected(self):
+        # each architecture's rows and summary would otherwise appear once per repeat
+        with pytest.raises(ValueError, match="architectures"):
+            ExperimentSpec(experiment="identity", architectures=("conv", "conv"), runs=2)
+        with pytest.raises(ValueError, match="architectures"):
+            ExperimentSpec(experiment="identity", architectures=("dense", "conv", "dense"))
 
     def test_experiment_defaults(self):
         identity = resolved_train_config(ExperimentSpec(experiment="identity"))
@@ -280,26 +286,9 @@ class TestReports:
         assert len(payload["architectures"][0]["runs"]) == 1
 
     def test_write_report_to_file(self, tmp_path):
-        report = run_experiment(small_spec(runs=1))
         out = tmp_path / "report.csv"
-        write_report(report, "csv", str(out))
-        assert out.read_text(encoding="utf-8") == render_csv(report)
-
-    def test_write_report_unknown_format(self):
-        report = run_experiment(small_spec(runs=1))
-        with pytest.raises(ValueError):
-            write_report(report, "xml", None)
-
-    def test_write_report_accepts_only_the_listed_formats(self):
-        # "markdown" is not one of FORMATS, so it fails like any unknown name
-        report = run_experiment(small_spec(runs=1))
-        with pytest.raises(ValueError, match="'csv', 'json', 'md'"):
-            write_report(report, "markdown", None)
-
-    def test_write_report_propagates_io_errors(self, tmp_path):
-        report = run_experiment(small_spec(runs=1))
-        with pytest.raises(OSError):
-            write_report(report, "csv", str(tmp_path / "missing" / "report.csv"))
+        assert main(["--experiment", "identity", "--arch", "conv", "--runs", "1", "--format", "csv", "--out", str(out)]) == 0
+        assert out.read_bytes() == render_csv(run_experiment(small_spec(runs=1))).encode("utf-8")
 
 
 class TestParseCli:
@@ -347,6 +336,7 @@ class TestParseCli:
             ["--experiment", "identity", "--no-such-flag"],
             ["--experiment", "rule", "--filter-width", "3"],
             ["--experiment", "rule", "--lr", "inf"],
+            ["--experiment", "identity", "--format", "markdown"],  # no alias beside csv, json, md
         ],
     )
     def test_usage_errors_exit_with_code_1(self, argv, capsys):

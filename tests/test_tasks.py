@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from symnet.tasks import (
-    DEFAULT_VOCABULARY,
     TEST_PAIRS,
     TRAIN_A_WORDS,
     TRAIN_B_WORDS,
-    Vocabulary,
     WORDS,
     dataset_to_csv,
     encode_number,
@@ -25,9 +23,8 @@ GOLDEN = Path(__file__).parent / "golden"
 class TestVocabulary:
     def test_word_list_order_fixes_row_indices(self):
         assert WORDS == ("ga", "ti", "wo", "na", "gi", "la", "li", "fe", "ko", "ni", "ta", "de")
-        assert DEFAULT_VOCABULARY.index("ga") == 0
-        assert DEFAULT_VOCABULARY.index("de") == 11
-        assert len(DEFAULT_VOCABULARY) == 12
+        # the i-th word of WORDS is one-hot row i
+        assert np.array_equal(encode_sequence(WORDS), np.eye(12))
 
     def test_word_groups_partition_without_overlap(self):
         groups = [set(TRAIN_A_WORDS), set(TRAIN_B_WORDS), {a for a, _ in TEST_PAIRS}, {b for _, b in TEST_PAIRS}]
@@ -35,21 +32,13 @@ class TestVocabulary:
         assert sum(len(g) for g in groups) == len(union) == 12
         assert union == set(WORDS)
 
-    def test_unknown_word_rejected(self):
-        with pytest.raises(ValueError, match="zz"):
-            DEFAULT_VOCABULARY.index("zz")
-
-    def test_duplicate_words_rejected(self):
-        with pytest.raises(ValueError):
-            Vocabulary(("a", "b", "a"))
-
 
 class TestEncodeSequence:
     def test_columns_are_one_hot_per_slot(self):
         m = encode_sequence(("wo", "fe", "wo"))
         assert m.shape == (12, 3)
-        assert np.array_equal(m[DEFAULT_VOCABULARY.index("wo")], [1.0, 0.0, 1.0])
-        assert np.array_equal(m[DEFAULT_VOCABULARY.index("fe")], [0.0, 1.0, 0.0])
+        assert np.array_equal(m[WORDS.index("wo")], [1.0, 0.0, 1.0])
+        assert np.array_equal(m[WORDS.index("fe")], [0.0, 1.0, 0.0])
         assert m.sum() == 3.0
         assert np.array_equal(m.sum(axis=0), [1.0, 1.0, 1.0])
 
@@ -59,7 +48,7 @@ class TestEncodeSequence:
         assert m.sum() == 3.0
 
     def test_unknown_word_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="xx"):
             encode_sequence(("ga", "xx", "ga"))
 
     def test_empty_sequence_rejected(self):
@@ -119,10 +108,6 @@ class TestIdentityDataset:
         a, b = make_identity_dataset(), make_identity_dataset()
         assert np.array_equal(a.train.inputs, b.train.inputs)
         assert a.train.input_text == b.train.input_text
-
-    def test_too_few_bits_rejected(self):
-        with pytest.raises(ValueError):
-            make_identity_dataset(bit_count=1)
 
 
 class TestRuleDataset:
