@@ -22,6 +22,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import groupby
 
+import numpy as np
+
 from symnet.ndcore import SeededRng, derive_seed
 from symnet.layers import Conv1DLayer, DenseLayer, GlobalMaxPool, Reshape, Sigmoid, Transpose
 from symnet.training import Network, RunReport, TrainConfig, evaluate, train
@@ -122,30 +124,32 @@ def build_network(experiment: str, architecture: str, rng: SeededRng, filter_wid
     """
     arch_id = f"{experiment}_{architecture}"
     if arch_id == "identity_dense":
-        stages = [DenseLayer.from_rng(rng, 5, 5), Sigmoid()]
+        stages = [DenseLayer(np.zeros((5, 5)), np.zeros(5)), Sigmoid()]
     elif arch_id == "identity_conv":
         stages = [
             Reshape((5,), (1, 5)),
-            Conv1DLayer.from_rng(rng, 1, 1, filter_width, padding="zero_same"),
+            Conv1DLayer(np.zeros((1, 1, filter_width)), np.zeros(1), padding="zero_same"),
             Reshape((1, 5), (5,)),
             Sigmoid(),
         ]
     elif arch_id == "rule_dense":
         stages = [
             Reshape((12, 3), (36,)),
-            DenseLayer.from_rng(rng, 36, 24),
+            DenseLayer(np.zeros((24, 36)), np.zeros(24)),
             Reshape((24,), (2, 12)),
             GlobalMaxPool(),
         ]
     elif arch_id == "rule_conv":
         stages = [
             Transpose(),
-            Conv1DLayer.from_rng(rng, 3, 2, 1, padding="none"),
+            Conv1DLayer(np.zeros((2, 3, 1)), np.zeros(2), padding="none"),
             GlobalMaxPool(),
         ]
     else:
         raise ValueError(f"unknown experiment/architecture pair {experiment!r}/{architecture!r}")
-    return Network(stages, loss=EXPERIMENT_LOSSES[experiment])
+    network = Network(stages, loss=EXPERIMENT_LOSSES[experiment])
+    network.reinitialize(rng)
+    return network
 
 
 def execute_runs(

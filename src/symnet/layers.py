@@ -127,19 +127,18 @@ class ParametricStage(Stage):
         grads = self.backward(cache, upstream, input_grad)
         return grads.d_input, grads
 
-    def reinitialize(self, rng) -> None:
-        """Redraws every non-bias parameter, in ``params`` order, and zeroes
-        the bias.  With a run axis ``rng`` holds one SeededRng per member,
-        and each member draws from its own."""
-        runs = self.runs
+    def reinitialize(self, rng: SeededRng) -> None:
+        """Redraws every non-bias parameter from ``rng``, in ``params`` order,
+        and zeroes the bias: the one place weights are drawn.  A stage with a
+        run axis is refused, since its members would share one stream."""
+        if self.runs is not None:
+            raise ValueError(f"reinitialize draws one plain stage; this one has a run axis of {self.runs} members")
         for name in self.params:
             old = getattr(self, name)
             if name == "bias":
                 new = np.zeros_like(old)
-            elif runs is None:
-                new = init_uniform(rng, old.shape)
             else:
-                new = np.stack([init_uniform(member, old.shape[1:]) for member in rng])
+                new = init_uniform(rng, old.shape)
             setattr(self, name, new)
 
 
@@ -166,10 +165,6 @@ class DenseLayer(ParametricStage):
     @property
     def in_units(self) -> int:
         return self.weights.shape[-1]
-
-    @classmethod
-    def from_rng(cls, rng: SeededRng, in_units: int, out_units: int) -> "DenseLayer":
-        return cls(init_uniform(rng, (out_units, in_units)), np.zeros(out_units))
 
     def forward(self, x) -> np.ndarray:
         """y = x W^T + b.  With a run axis, ``np.matmul`` makes the same BLAS
@@ -234,18 +229,6 @@ class Conv1DLayer(ParametricStage):
     @property
     def width(self) -> int:
         return self.filters.shape[-1]
-
-    @classmethod
-    def from_rng(
-        cls,
-        rng: SeededRng,
-        in_channels: int,
-        out_channels: int,
-        width: int,
-        padding: str = PADDING_SAME,
-    ) -> "Conv1DLayer":
-        filters = init_uniform(rng, (out_channels, in_channels, width))
-        return cls(filters, np.zeros(out_channels), padding)
 
     def _padded(self, xb: np.ndarray) -> np.ndarray:
         if self.padding == PADDING_NONE:

@@ -27,13 +27,9 @@ class ShapeError(ValueError):
 def tensor(data) -> np.ndarray:
     """Build a validated float64 array: C-order, finite everywhere."""
     arr = np.ascontiguousarray(data, dtype=np.float64)
-    _require_finite("tensor", arr)
-    return arr
-
-
-def _require_finite(op: str, arr: np.ndarray) -> None:
     if not np.isfinite(arr).all():
-        raise ValueError(f"{op}: non-finite values in result")
+        raise ValueError("tensor: non-finite values")
+    return arr
 
 
 def sigmoid(x) -> np.ndarray:
@@ -54,9 +50,7 @@ def softmax(logits) -> np.ndarray:
         raise ShapeError(f"softmax needs at least one logit along the last axis, got {arr.shape}")
     shifted = arr - arr.max(axis=-1, keepdims=True)
     expd = np.exp(shifted)
-    out = expd / expd.sum(axis=-1, keepdims=True)
-    _require_finite("softmax", out)
-    return out
+    return expd / expd.sum(axis=-1, keepdims=True)  # a row holding nan or +inf gives nan, not an error
 
 
 def _mix64(x: int) -> int:

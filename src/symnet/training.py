@@ -125,8 +125,8 @@ class Network:
         return stages[0].runs if stages else None
 
     def reinitialize(self, rng) -> None:
-        """Redraws every parametric stage, in forward order, from ``rng``:
-        one SeededRng, or for an ensemble one per member."""
+        """Redraws every parametric stage, in forward order, from one
+        SeededRng.  An ensemble is refused: redraw its ``select``ed members."""
         for stage in self.parametric_stages:
             stage.reinitialize(rng)
 
@@ -301,8 +301,10 @@ def _train_ensemble(network: Network, inputs, targets, config: TrainConfig, rngs
         if attempt == 0:
             members = network
         else:
-            members = network.select(pending)
-            members.reinitialize([rngs[i] for i in pending])
+            redrawn = [network.select(i) for i in pending]
+            for i, member in zip(pending, redrawn):
+                member.reinitialize(rngs[i])
+            members = Network.stack(redrawn)
         losses = _descend(members, inputs, targets, config, loss_fn)
         # a member whose last loss is not finite diverged, and keeps that loss
         last = np.array([member_losses[-1] for member_losses in losses])

@@ -13,7 +13,7 @@ import pytest
 import symnet
 from _helpers import parameter_count
 from symnet import harness
-from symnet.ndcore import SeededRng, derive_seed
+from symnet.ndcore import SeededRng, derive_seed, init_uniform
 from symnet.tasks import make_identity_dataset, make_rule_dataset
 from symnet.training import TrainConfig
 from symnet.harness import (
@@ -72,6 +72,14 @@ class TestBuildNetwork:
             build_network("identity", "transformer", SeededRng(0))
         with pytest.raises(ValueError):
             build_network("parity", "conv", SeededRng(0))
+
+    def test_kernel_is_the_first_draw_of_the_rng_and_bias_is_zero(self):
+        for experiment in harness.EXPERIMENTS:
+            for architecture in harness.ARCHITECTURES:
+                (stage,) = build_network(experiment, architecture, SeededRng(17)).parametric_stages
+                kernel = getattr(stage, stage.params[0])
+                assert kernel.tobytes() == init_uniform(SeededRng(17), kernel.shape).tobytes()
+                assert stage.bias.tobytes() == np.zeros(stage.bias.shape).tobytes()
 
     def test_same_rng_same_parameters(self):
         a = build_network("rule", "conv", SeededRng(55))

@@ -70,6 +70,14 @@ class TestSoftmax:
         with pytest.raises(ShapeError):
             softmax(np.zeros((0,)))
 
+    def test_non_finite_logits_give_nan(self):
+        # a row holding nan or +inf has no finite distribution; -inf under a finite max is a 0
+        logits = np.array([[np.inf, 1.0], [np.inf, np.inf], [np.nan, 0.0], [-np.inf, 0.0]])
+        with np.errstate(invalid="ignore"):
+            out = softmax(logits)
+        assert np.isnan(out[:3]).all()
+        assert np.array_equal(out[3], [0.0, 1.0])
+
 
 class TestSeededRng:
     def test_same_seed_same_stream(self):

@@ -542,12 +542,62 @@ class TestEnsemble:
         assert _same_parameters(ensemble.select(2), nets[2])
         picked = ensemble.select(np.array([3, 0]))
         assert picked.runs == 2 and _same_parameters(picked.select(0), nets[3])
-        picked.reinitialize([SeededRng(10), SeededRng(11)])
-        ensemble.put(np.array([3, 0]), picked)
+        members = [picked.select(0), picked.select(1)]
+        for member, seed in zip(members, (10, 11)):
+            member.reinitialize(SeededRng(seed))
+        ensemble.put(np.array([3, 0]), Network.stack(members))
         redrawn = build_network("rule", "dense", SeededRng(0))
         redrawn.reinitialize(SeededRng(11))
         assert _same_parameters(ensemble.select(0), redrawn)
         assert _same_parameters(ensemble.select(1), nets[1])
+        redrawn.reinitialize(SeededRng(10))
+        assert _same_parameters(ensemble.select(3), redrawn)
+
+    def test_reinitialize_refuses_an_ensemble(self):
+        # drawn from one stream, the members would quietly share one sequence of draws
+        ensemble = Network.stack([build_network("rule", "conv", SeededRng(seed)) for seed in range(2)])
+        before = ensemble.parametric_stages[0].filters.copy()
+        with pytest.raises(ValueError, match="run axis"):
+            ensemble.reinitialize(SeededRng(0))
+        assert np.array_equal(ensemble.parametric_stages[0].filters, before)
+
+    @pytest.mark.parametrize("architecture", ["dense", "conv"])
+    def test_rule_member_whose_logits_overflow_is_frozen(self, architecture):
+        # member 1's logits overflow to inf at the first epoch and softmax
+        # turns them into nan: it is frozen, or redrawn when restarts allow
+        data = make_rule_dataset().train
+
+        def nets():
+            members = [build_network("rule", architecture, SeededRng(seed)) for seed in range(3)]
+            stage = members[1].parametric_stages[0]
+            name = stage.params[0]
+            setattr(stage, name, np.full(getattr(stage, name).shape, 1e308))
+            return members
+
+        for max_restarts in (0, 1):
+            config = TrainConfig(epochs=30, learning_rate=0.1, max_restarts=max_restarts)
+            members = nets()
+            ensemble = Network.stack(members)
+            with np.errstate(over="ignore", invalid="ignore"):
+                results = train(ensemble, data, config, [SeededRng(10 + r) for r in range(3)])
+                alone = [train(net, data, config, SeededRng(10 + r)) for r, net in enumerate(members)]
+                predictions = ensemble.predict(data.inputs)
+                solo_predictions = members[1].predict(data.inputs)
+            if max_restarts == 0:
+                assert len(results[1].losses) == 1 and math.isnan(results[1].final_loss)
+                assert not results[1].reached_criterion
+                assert np.isnan(predictions[1]).all() and np.isnan(solo_predictions).all()
+                assert _same_parameters(ensemble.select(1), nets()[1])
+                compared = (0, 2)
+            else:
+                assert results[1].restarts == 1 and len(results[1].losses) == 30
+                assert np.isfinite(predictions).all()
+                compared = (0, 1, 2)
+            for member in compared:
+                assert alone[member].losses == results[member].losses
+                assert alone[member].restarts == results[member].restarts
+                assert alone[member].final_loss == results[member].final_loss
+                assert _same_parameters(members[member], ensemble.select(member))
 
     def test_restarts_need_an_rng_per_run(self):
         ensemble = Network.stack([build_network("identity", "dense", SeededRng(s)) for s in range(2)])
