@@ -38,6 +38,7 @@ DEFAULT_LEARNING_RATES = {"identity": 1.0, "rule": 0.1}
 DEFAULT_MAX_RESTARTS = {"identity": 0, "rule": 50}
 # fixed per experiment (regression vs classification); build_network sets it
 EXPERIMENT_LOSSES = {"identity": "squared_error", "rule": "cross_entropy"}
+FILTER_WIDTH = 5  # the identity conv's filter; rule nets use a width-1 conv
 
 
 @dataclass
@@ -47,7 +48,6 @@ class ExperimentSpec:
     runs: int = 100
     train: TrainConfig | None = None  # None = experiment defaults
     master_seed: int = 0
-    filter_width: int = 5
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -64,10 +64,6 @@ class ExperimentSpec:
             raise ValueError("runs must be >= 1")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must be in [0, 2**64), so that no two seeds alias")
-        if self.filter_width < 1 or self.filter_width % 2 == 0:
-            raise ValueError("filter width must be a positive odd integer")
-        if self.experiment == "rule" and self.filter_width != 5:
-            raise ValueError("filter_width sets the identity conv network only; rule nets use a width-1 conv")
 
 
 # The field order of these two reports is the key order of the JSON report.
@@ -107,12 +103,12 @@ def make_dataset(experiment: str) -> Dataset:
     raise ValueError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
 
 
-def build_network(experiment: str, architecture: str, rng: SeededRng, filter_width: int = 5) -> Network:
+def build_network(experiment: str, architecture: str, rng: SeededRng) -> Network:
     """Constructs one of the four architectures, drawing parameters from rng.
 
     identity/dense   5 in -> 5 out fully connected, sigmoid outputs
-    identity/conv    1-channel width-``filter_width`` conv, zero-padded to
-                     keep 5 positions, sigmoid outputs
+    identity/conv    1-channel width-5 conv, zero-padded to keep 5
+                     positions, sigmoid outputs
     rule/dense       36 in -> 24 hidden, regrouped as 2 channels x 12
                      positions, global max pool to 2 logits
     rule/conv        width-1 conv projecting the 3 sequence slots to 2
@@ -128,7 +124,7 @@ def build_network(experiment: str, architecture: str, rng: SeededRng, filter_wid
     elif arch_id == "identity_conv":
         stages = [
             Reshape((5,), (1, 5)),
-            Conv1DLayer(np.zeros((1, 1, filter_width)), np.zeros(1), padding="zero_same"),
+            Conv1DLayer(np.zeros((1, 1, FILTER_WIDTH)), np.zeros(1), padding="zero_same"),
             Reshape((1, 5), (5,)),
             Sigmoid(),
         ]
@@ -152,21 +148,14 @@ def build_network(experiment: str, architecture: str, rng: SeededRng, filter_wid
     return network
 
 
-def execute_runs(
-    experiment: str,
-    architecture: str,
-    run_indices,
-    seeds,
-    config: TrainConfig,
-    filter_width: int = 5,
-) -> list[RunReport]:
+def execute_runs(experiment: str, architecture: str, run_indices, seeds, config: TrainConfig) -> list[RunReport]:
     """Builds, trains, and evaluates seeded runs of one architecture, all
     at once as one ensemble; run ``run_indices[r]`` draws from ``seeds[r]``.
     Each row is pure in its own run index and seed, so reports can be
     recomputed from the stored seed alone."""
     dataset = make_dataset(experiment)
     rngs = [SeededRng(seed) for seed in seeds]
-    ensemble = Network.stack([build_network(experiment, architecture, rng, filter_width) for rng in rngs])
+    ensemble = Network.stack([build_network(experiment, architecture, rng) for rng in rngs])
     results = train(ensemble, dataset.train, config, rngs)
     train_accuracy = evaluate(ensemble, dataset.train)
     test_accuracy = evaluate(ensemble, dataset.test)
@@ -186,16 +175,9 @@ def execute_runs(
     ]
 
 
-def execute_run(
-    experiment: str,
-    architecture: str,
-    run_index: int,
-    seed: int,
-    config: TrainConfig,
-    filter_width: int = 5,
-) -> RunReport:
+def execute_run(experiment: str, architecture: str, run_index: int, seed: int, config: TrainConfig) -> RunReport:
     """One seeded run: ``execute_runs`` with a single member."""
-    return execute_runs(experiment, architecture, [run_index], [seed], config, filter_width)[0]
+    return execute_runs(experiment, architecture, [run_index], [seed], config)[0]
 
 
 def _slices(spec: ExperimentSpec, workers: int) -> list[list[tuple[str, list[int]]]]:
@@ -212,7 +194,7 @@ def _execute_slice(spec: ExperimentSpec, config: TrainConfig, cells: list[tuple[
     rows = []
     for arch, indices in cells:
         seeds = [derive_seed(spec.master_seed, f"{spec.experiment}_{arch}", i) for i in indices]
-        rows.extend(execute_runs(spec.experiment, arch, indices, seeds, config, spec.filter_width))
+        rows.extend(execute_runs(spec.experiment, arch, indices, seeds, config))
     return rows
 
 
@@ -271,7 +253,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentReport:
             "loss": EXPERIMENT_LOSSES[spec.experiment],
             "max_restarts": config.max_restarts,
             "master_seed": spec.master_seed,
-            "filter_width": spec.filter_width,
+            "filter_width": FILTER_WIDTH,
         },
         version=__version__,
     )
@@ -350,11 +332,15 @@ RENDERERS = {"csv": render_csv, "json": render_json, "md": render_markdown}
 
 
 def _write_text(text: str, path: str | None) -> None:
-    if path is None or path == "-":
+    if path is None:
         sys.stdout.write(text)
         return
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
+
+
+def _per_experiment(defaults: dict) -> str:
+    return ", ".join(f"{value} for {experiment}" for experiment, value in defaults.items())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -374,15 +360,14 @@ def parse_cli(argv=None) -> tuple[ExperimentSpec, argparse.Namespace]:
         description="Run the identity or rule generalisation experiment and report per-seed accuracies.",
     )
     parser.add_argument("--experiment", required=True, choices=EXPERIMENTS, help="which task to run")
-    parser.add_argument("--arch", default="both", choices=("conv", "dense", "both"), help="architecture(s) to run (default both)")
-    parser.add_argument("--runs", type=int, default=100, help="number of seeded runs per architecture (default 100)")
-    parser.add_argument("--epochs", type=int, default=1000, help="training epochs per run (default 1000)")
-    parser.add_argument("--lr", type=float, default=None, help="learning rate (default 1.0 for identity, 0.1 for rule)")
-    parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    parser.add_argument("--max-restarts", type=int, default=None, help="restart budget per run below 100%% training accuracy (default 0 for identity, 50 for rule)")
-    parser.add_argument("--format", default="md", choices=tuple(RENDERERS), help="report format (default md)")
+    parser.add_argument("--arch", default="both", choices=("conv", "dense", "both"), help="architecture(s) to run (default %(default)s)")
+    parser.add_argument("--runs", type=int, default=ExperimentSpec.runs, help="number of seeded runs per architecture (default %(default)s)")
+    parser.add_argument("--epochs", type=int, default=TrainConfig.epochs, help="training epochs per run (default %(default)s)")
+    parser.add_argument("--lr", type=float, default=None, help=f"learning rate (default {_per_experiment(DEFAULT_LEARNING_RATES)})")
+    parser.add_argument("--seed", type=int, default=ExperimentSpec.master_seed, help="master seed (default %(default)s)")
+    parser.add_argument("--max-restarts", type=int, default=None, help=f"restart budget per run below 100%% training accuracy (default {_per_experiment(DEFAULT_MAX_RESTARTS)})")
+    parser.add_argument("--format", default="md", choices=tuple(RENDERERS), help="report format (default %(default)s)")
     parser.add_argument("--out", default=None, metavar="PATH", help="report destination (default stdout)")
-    parser.add_argument("--filter-width", type=int, default=5, help="filter width for the identity conv network (default 5)")
     parser.add_argument("--export-dataset", default=None, metavar="PATH", help="also write the experiment's dataset as CSV")
     args = parser.parse_args(argv)
 
@@ -398,7 +383,6 @@ def parse_cli(argv=None) -> tuple[ExperimentSpec, argparse.Namespace]:
             runs=args.runs,
             train=config,
             master_seed=args.seed,
-            filter_width=args.filter_width,
         )
     except ValueError as exc:
         parser.error(str(exc))

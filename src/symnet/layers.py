@@ -247,6 +247,9 @@ class Conv1DLayer(ParametricStage):
         return xb, single
 
     def forward(self, x) -> np.ndarray:
+        return self.step(x)[0]
+
+    def _convolve(self, padded: np.ndarray) -> np.ndarray:
         """y[c][p] = b[c] + sum over (k, t) of filters[c][k][t] * x_padded[k][p + t].
 
         The contraction is a fixed-order loop over filter taps rather than an
@@ -254,9 +257,6 @@ class Conv1DLayer(ParametricStage):
         for different memory layouts, which would break bit-level
         reproducibility of whole training runs.
         """
-        return self.step(x)[0]
-
-    def _convolve(self, padded: np.ndarray) -> np.ndarray:
         out_p = padded.shape[-1] - self.width + 1
         y = np.zeros(_batch_lead(padded, 2, self.runs) + (self.out_channels, out_p))
         for k in range(self.in_channels):

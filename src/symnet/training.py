@@ -222,18 +222,14 @@ def evaluate(network: Network, data) -> float | np.ndarray:
     float, or for an ensemble an array with one accuracy per member.
     """
     inputs, t = _data_arrays(data)
-    preds = network.predict(inputs)
-    runs = network.runs
-    if preds.shape != (t.shape if runs is None else (runs,) + t.shape):
-        raise ShapeError(f"evaluate: predictions {preds.shape} vs targets {t.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        preds = network.predict(inputs)
+    runs = _runs(preds, t, "evaluate")
     if t.shape[0] == 0:
         raise ValueError("evaluate: empty instance set")
-    bits = discretise(preds)
     instance_axes = tuple(range(-t.ndim + 1, 0))
-    hit = np.all(bits == t, axis=instance_axes) & np.all(np.isfinite(preds), axis=instance_axes)
-    if runs is None:
-        return float(np.count_nonzero(hit)) / float(t.shape[0])
-    return np.count_nonzero(hit, axis=-1) / float(t.shape[0])
+    hit = np.all(discretise(preds) == t, axis=instance_axes) & np.all(np.isfinite(preds), axis=instance_axes)
+    return _total(hit, runs) / t.shape[0]
 
 
 @dataclass
@@ -288,6 +284,7 @@ def train(network: Network, data, config: TrainConfig, rng=None) -> TrainResult 
     return result
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging member is frozen and reported as failed
 def _train_ensemble(network: Network, inputs, targets, config: TrainConfig, rngs) -> list[TrainResult]:
     runs = network.runs
     if config.max_restarts > 0 and (rngs is None or any(rng is None for rng in rngs)):

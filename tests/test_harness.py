@@ -3,7 +3,9 @@
 import functools
 import hashlib
 import json
+import math
 import multiprocessing
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -11,7 +13,6 @@ import numpy as np
 import pytest
 
 import symnet
-from _helpers import parameter_count
 from symnet import harness
 from symnet.ndcore import SeededRng, derive_seed, init_uniform
 from symnet.tasks import make_identity_dataset, make_rule_dataset
@@ -57,11 +58,6 @@ class TestBuildNetwork:
             assert out.shape == (2,)
             assert float(np.sum(out)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_filter_width_knob_changes_identity_conv_only(self):
-        assert parameter_count(build_network("identity", "conv", SeededRng(0), filter_width=1)) == 2
-        assert parameter_count(build_network("identity", "conv", SeededRng(0), filter_width=3)) == 4
-        assert parameter_count(build_network("rule", "conv", SeededRng(0), filter_width=3)) == 8
-
     def test_rule_dense_hidden_width(self):
         net = build_network("rule", "dense", SeededRng(0))
         dense = net.parametric_stages[0]
@@ -97,8 +93,6 @@ class TestExperimentSpec:
             ExperimentSpec(experiment="identity", architectures=("rnn",))
         with pytest.raises(ValueError):
             ExperimentSpec(experiment="identity", runs=0)
-        with pytest.raises(ValueError):
-            ExperimentSpec(experiment="identity", filter_width=2)
 
     def test_master_seed_outside_64_bits_is_rejected(self):
         # seeds are mixed modulo 2**64, so -1 would silently run as 2**64 - 1
@@ -111,13 +105,10 @@ class TestExperimentSpec:
             parse_cli(["--experiment", "identity", "--seed", "-1"])
         assert exc.value.code == 1
 
-    def test_filter_width_is_rejected_for_rule(self):
-        # rule nets have no knob it could set, so a width other than the
-        # default must not be dropped without a word
-        with pytest.raises(ValueError, match="filter_width"):
-            ExperimentSpec(experiment="rule", filter_width=3)
-        assert ExperimentSpec(experiment="rule", filter_width=5).filter_width == 5
-        assert ExperimentSpec(experiment="identity", filter_width=3).filter_width == 3
+    def test_filter_width_is_not_an_option(self):
+        # the identity conv's width is fixed at harness.FILTER_WIDTH
+        with pytest.raises(TypeError):
+            ExperimentSpec(experiment="identity", filter_width=3)
 
     def test_repeated_architecture_is_rejected(self):
         # each architecture's rows and summary would otherwise appear once per repeat
@@ -191,7 +182,7 @@ class TestRunExperiment:
         report = run_experiment(small_spec(runs=2))
         cfg = resolved_train_config(small_spec(runs=2))
         for row in report.architectures[0].runs:
-            again = execute_run(row.experiment, row.architecture, row.run_index, row.seed, cfg, 5)
+            again = execute_run(row.experiment, row.architecture, row.run_index, row.seed, cfg)
             assert again == row
 
     def test_parallel_execution_matches_serial(self):
@@ -222,6 +213,17 @@ class TestRunExperiment:
     def test_workers_below_one_are_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):
             run_experiment(small_spec(runs=1), workers=workers)
+
+    def test_diverging_runs_fail_without_warnings(self):
+        # a member whose loss overflows is frozen and reported as failed, quietly
+        for experiment in harness.EXPERIMENTS:
+            config = TrainConfig(epochs=20, learning_rate=1e308, max_restarts=harness.DEFAULT_MAX_RESTARTS[experiment])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                report = run_experiment(ExperimentSpec(experiment, runs=2, train=config))
+            rows = [row for arch in report.architectures for row in arch.runs]
+            assert len(rows) == 4
+            assert all(row.failed and math.isnan(row.final_loss) for row in rows), experiment
 
     def test_restart_budget_is_respected_in_rows(self):
         spec = ExperimentSpec(experiment="rule", architectures=("conv",), runs=3)
@@ -304,12 +306,13 @@ class TestParseCli:
         spec, args = parse_cli(["--experiment", "identity"])
         assert spec.architectures == ("dense", "conv")
         assert spec.runs == 100
+        assert spec.master_seed == 0
+        assert spec.train.epochs == 1000
         assert spec.train.learning_rate == 1.0
         assert spec.train.max_restarts == 0
         assert args.format == "md"
         assert args.out is None
         assert args.export_dataset is None
-        assert spec.filter_width == 5
         rule, _ = parse_cli(["--experiment", "rule"])
         assert rule.train.learning_rate == 0.1
         assert rule.train.max_restarts == 50
@@ -330,6 +333,16 @@ class TestParseCli:
         assert args.out == "x.csv"
         assert args.export_dataset == "d.csv"
 
+    def test_help_names_the_per_experiment_defaults_from_their_tables(self, monkeypatch, capsys):
+        monkeypatch.setitem(harness.DEFAULT_LEARNING_RATES, "identity", 0.25)
+        monkeypatch.setitem(harness.DEFAULT_MAX_RESTARTS, "rule", 7)
+        with pytest.raises(SystemExit) as exc:
+            parse_cli(["--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+        assert "learning rate (default 0.25 for identity, 0.1 for rule)" in text
+        assert "training accuracy (default 0 for identity, 7 for rule)" in text
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -339,7 +352,7 @@ class TestParseCli:
             ["--experiment", "identity", "--epochs", "-5"],
             ["--experiment", "identity", "--lr", "0"],
             ["--experiment", "identity", "--max-restarts", "-1"],
-            ["--experiment", "identity", "--filter-width", "4"],
+            ["--experiment", "identity", "--filter-width", "4"],  # no such flag: the width is fixed
             ["--experiment", "identity", "--format", "yaml"],
             ["--experiment", "identity", "--no-such-flag"],
             ["--experiment", "rule", "--filter-width", "3"],
