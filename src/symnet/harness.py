@@ -19,7 +19,7 @@ import io
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import groupby
 
 import numpy as np
@@ -263,33 +263,26 @@ RUN_COLUMNS = ("experiment", "architecture", "run_index", "seed", "restarts", "t
 SUMMARY_COLUMNS = ("experiment", "architecture", "runs", "failed_runs", "mean_train_accuracy", "mean_test_accuracy")
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def render_csv(report: ExperimentReport) -> str:
     """Per-run rows under the fixed header, then a blank line and a summary
-    block with one row per architecture."""
+    block with one row per architecture.  ``csv.writer`` writes a float as
+    its repr and None (a mean over no runs) as an empty cell."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(RUN_COLUMNS)
     for arch in report.architectures:
         for row in arch.runs:
-            writer.writerow([_csv_cell(getattr(row, column)) for column in RUN_COLUMNS])
+            writer.writerow([getattr(row, column) for column in RUN_COLUMNS])
     writer.writerow([])
     writer.writerow(SUMMARY_COLUMNS)
     for arch in report.architectures:
         writer.writerow([
             report.experiment,
             arch.architecture,
-            _csv_cell(len(arch.runs)),
-            _csv_cell(arch.failed_runs),
-            _csv_cell(arch.mean_train_accuracy),
-            _csv_cell(arch.mean_test_accuracy),
+            len(arch.runs),
+            arch.failed_runs,
+            arch.mean_train_accuracy,
+            arch.mean_test_accuracy,
         ])
     return buf.getvalue()
 
@@ -372,18 +365,15 @@ def parse_cli(argv=None) -> tuple[ExperimentSpec, argparse.Namespace]:
     args = parser.parse_args(argv)
 
     try:
-        config = TrainConfig(
-            epochs=args.epochs,
-            learning_rate=args.lr if args.lr is not None else DEFAULT_LEARNING_RATES[args.experiment],
-            max_restarts=args.max_restarts if args.max_restarts is not None else DEFAULT_MAX_RESTARTS[args.experiment],
-        )
         spec = ExperimentSpec(
             experiment=args.experiment,
             architectures=ARCHITECTURES if args.arch == "both" else (args.arch,),
             runs=args.runs,
-            train=config,
             master_seed=args.seed,
         )
+        # a flag left out keeps the experiment's default; replace re-validates
+        given = {"epochs": args.epochs, "learning_rate": args.lr, "max_restarts": args.max_restarts}
+        spec.train = replace(resolved_train_config(spec), **{k: v for k, v in given.items() if v is not None})
     except ValueError as exc:
         parser.error(str(exc))
     return spec, args

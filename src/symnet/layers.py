@@ -83,9 +83,12 @@ class Stage:
     ``backprop(cache, upstream) -> (d_input, record)`` runs ``backward``, and
     ``record`` holds ``d_<name>`` for each name in ``params``, or is None.
     Max pooling's ``d_input`` is a PoolGradient, an array to ``np.asarray``.
-    The defaults fit stages whose ``backward`` needs only the upstream.
-    ``Network.backward_pass`` stops at the first parametric stage, so the
-    parameter-free stages in front of it never run ``backprop``.
+    The defaults fit stages whose ``backward`` needs only the upstream;
+    ParametricStage caches the input instead.  Only max pooling and the
+    sigmoid, whose caches are not their input, override ``step`` and
+    ``backprop``, and softmax refuses ``backprop``.  ``Network.backward_pass``
+    stops at the first parametric stage, so the parameter-free stages in
+    front of it never run ``backprop``.
     """
 
     params: tuple[str, ...] = ()
@@ -98,12 +101,13 @@ class Stage:
 
 
 class ParametricStage(Stage):
-    """A stage with trainable arrays: ``backward(x, upstream)`` returns a
-    gradient record, and ``bias`` is the one parameter that starts at zero.
+    """A stage with trainable arrays, ``bias`` the one that starts at zero.
     ``kernel_ndim`` is the rank of the first parameter without a run axis.
-    ``backprop(cache, upstream, input_grad=False)`` forms the parameter
-    gradients alone and returns None as the input gradient and ``d_input``:
-    ``Network.backward_pass`` asks this of its first parametric stage."""
+    Dense and conv layers share one protocol: ``step`` caches the input, and
+    ``backprop`` hands it to ``backward(x, upstream, input_grad)``, the
+    layer's one gradient routine, which returns the gradient record.  With
+    ``input_grad=False`` it forms the parameter gradients alone and ``d_input``
+    is None: ``Network.backward_pass`` asks this of its first parametric stage."""
 
     kernel_ndim: int
 
@@ -247,9 +251,6 @@ class Conv1DLayer(ParametricStage):
         return xb, single
 
     def forward(self, x) -> np.ndarray:
-        return self.step(x)[0]
-
-    def _convolve(self, padded: np.ndarray) -> np.ndarray:
         """y[c][p] = b[c] + sum over (k, t) of filters[c][k][t] * x_padded[k][p + t].
 
         The contraction is a fixed-order loop over filter taps rather than an
@@ -257,36 +258,26 @@ class Conv1DLayer(ParametricStage):
         for different memory layouts, which would break bit-level
         reproducibility of whole training runs.
         """
+        xb, single = self._batched_input(x, "conv forward")
+        padded = self._padded(xb)
         out_p = padded.shape[-1] - self.width + 1
         y = np.zeros(_batch_lead(padded, 2, self.runs) + (self.out_channels, out_p))
         for k in range(self.in_channels):
             for t in range(self.width):
                 y += self.filters[..., None, :, k, t, None] * padded[..., None, k, t : t + out_p]
         y += self.bias[..., None, :, None]
-        return y
+        return y[0] if single else y
 
-    def step(self, x) -> tuple[np.ndarray, tuple[np.ndarray, bool]]:
-        # the cache keeps the padded input, so backprop does not pad again
-        xb, single = self._batched_input(x, "conv forward")
-        padded = self._padded(xb)
-        y = self._convolve(padded)
-        return (y[0] if single else y), (padded, single)
-
-    def backprop(self, cache, upstream, input_grad: bool = True) -> tuple[np.ndarray | None, ConvGradients]:
-        if isinstance(upstream, PoolGradient) and not input_grad:
-            return None, self._pooled_gradients(cache[0], upstream)
-        grads = self._gradients(*cache, upstream, input_grad)
-        return grads.d_input, grads
-
-    def backward(self, x, upstream) -> ConvGradients:
+    def backward(self, x, upstream, input_grad: bool = True) -> ConvGradients:
         """Each shared weight's gradient sums its contributions over all
         positions; d_input is the transposed convolution of the upstream,
-        always formed here, though training's backprop skips it at the
-        first parametric stage."""
+        and ``input_grad=False`` leaves it unformed (None).  A PoolGradient
+        upstream with ``input_grad=False`` is gathered at its argmax instead
+        of being spread into the dense upstream."""
         xb, single = self._batched_input(x, "conv backward")
-        return self._gradients(self._padded(xb), single, upstream)
-
-    def _gradients(self, padded: np.ndarray, single: bool, upstream, input_grad: bool = True) -> ConvGradients:
+        padded = self._padded(xb)
+        if isinstance(upstream, PoolGradient) and not input_grad:
+            return self._pooled_gradients(padded, upstream)
         ub, _ = _as_batch(upstream, 2, "conv backward", self.runs)
         out_p = padded.shape[-1] - self.width + 1
         if ub.shape != _batch_lead(padded, 2, self.runs) + (self.out_channels, out_p):
@@ -312,7 +303,7 @@ class Conv1DLayer(ParametricStage):
         return ConvGradients(d_filters, d_bias, d_input[0] if single else d_input)
 
     def _pooled_gradients(self, padded: np.ndarray, routed: "PoolGradient") -> ConvGradients:
-        """The parameter gradients of ``_gradients`` for an upstream that max
+        """The parameter gradients of ``backward`` for an upstream that max
         pooling routed, gathered at its argmax: d_filters[c, k, t] is the sum
         over b of up[b, c] * padded[b, k, argmax[b, c] + t], and d_bias the
         sum over b of up.  Both add the batch in index order, and the zeros of

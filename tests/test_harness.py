@@ -224,6 +224,11 @@ class TestRunExperiment:
             rows = [row for arch in report.architectures for row in arch.runs]
             assert len(rows) == 4
             assert all(row.failed and math.isnan(row.final_loss) for row in rows), experiment
+            # the CSV writes a nan loss as nan and a mean over no runs as an empty cell
+            run_block, summary_block = render_csv(report).split("\n\n")
+            run_lines, summary_lines = run_block.splitlines()[1:], summary_block.splitlines()[1:]
+            assert len(run_lines) == 4 and all(line.endswith(",nan") for line in run_lines), experiment
+            assert len(summary_lines) == 2 and all(line.endswith(",2,2,,") for line in summary_lines), experiment
 
     def test_restart_budget_is_respected_in_rows(self):
         spec = ExperimentSpec(experiment="rule", architectures=("conv",), runs=3)

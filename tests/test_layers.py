@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from _helpers import fd_grad, max_rel_err, quadratic_loss
+from symnet.harness import build_network, make_dataset
 from symnet.layers import Conv1DLayer, DenseLayer, GlobalMaxPool, Reshape, Sigmoid, Transpose
-from symnet.ndcore import SeededRng, ShapeError
+from symnet.ndcore import SeededRng, ShapeError, derive_seed
 from symnet.tasks import encode_sequence
+from symnet.training import LOSSES, Network
 
 
 class TestDenseForward:
@@ -423,21 +425,43 @@ class TestRunAxis:
                 assert np.array_equal(g.d_bias[r], gr.d_bias)
                 assert np.array_equal(g.d_input[r], gr.d_input)
 
-    @pytest.mark.parametrize("runs", [None, 2])
-    def test_conv_step_cache_gives_the_backward_gradients(self, runs):
-        # step keeps the padded input, so backprop must not need x again
-        rng = np.random.default_rng(57)
-        lead = () if runs is None else (runs,)
-        layer = Conv1DLayer(rng.uniform(-1, 1, lead + (2, 1, 5)), rng.uniform(-1, 1, lead + (2,)), padding="zero_same")
-        x = rng.uniform(-1, 1, (4, 1, 5))
-        y, cache = layer.step(x)
-        upstream = rng.uniform(-1, 1, y.shape)
-        d_input, record = layer.backprop(cache, upstream)
-        want = layer.backward(x, upstream)
-        assert np.array_equal(y, layer.forward(x))
+    @pytest.mark.parametrize("members", [None, 3])
+    @pytest.mark.parametrize("experiment", ["identity", "rule"])
+    def test_training_reaches_the_conv_through_forward_and_backward(self, experiment, members, monkeypatch):
+        # one forward_pass and one backward_pass call the conv's public
+        # forward and backward once each, and its gradient record is
+        # backward(x, up, input_grad=False) bit for bit
+        forward, backward = Conv1DLayer.forward, Conv1DLayer.backward
+        calls = []
+
+        def counted_forward(self, x):
+            calls.append("forward")
+            return forward(self, x)
+
+        def counted_backward(self, x, upstream, input_grad=True):
+            calls.append("backward")
+            return backward(self, x, upstream, input_grad)
+
+        monkeypatch.setattr(Conv1DLayer, "forward", counted_forward)
+        monkeypatch.setattr(Conv1DLayer, "backward", counted_backward)
+        nets = [build_network(experiment, "conv", SeededRng(derive_seed(61, experiment, r))) for r in range(members or 1)]
+        net = nets[0] if members is None else Network.stack(nets)
+        data = make_dataset(experiment).train
+        outputs, caches = net.forward_pass(data.inputs)
+        d_out = LOSSES[net.loss](outputs, data.targets)[1]
+        (record,) = net.backward_pass(caches, d_out)
+        assert calls == ["forward", "backward"]
+
+        # the conv is stage 1 of both nets, behind one parameter-free stage
+        conv = net.stages[1]
+        x = net.stages[0].forward(data.inputs)
+        up = d_out
+        for above, cache in zip(reversed(net.stages[2:]), reversed(caches[2:])):
+            up = above.backprop(cache, up)[0]
+        want = backward(conv, x, up, input_grad=False)
         assert np.array_equal(record.d_filters, want.d_filters)
         assert np.array_equal(record.d_bias, want.d_bias)
-        assert np.array_equal(d_input, want.d_input)
+        assert record.d_input is None and want.d_input is None
 
     def test_pool_and_plumbing_pass_leading_axes_through(self):
         rng = np.random.default_rng(59)
