@@ -2,13 +2,12 @@
 
 Executes the 100-run protocol for one experiment, for one or both
 architectures, and renders the per-run and aggregate results as CSV, JSON,
-or a Markdown table.  The runs of one architecture train as one ensemble
-along a leading run axis; several workers split the architecture-major
-list of (architecture, run) pairs into contiguous slices.  Every run's seed
-is mixed from the master seed, the architecture id, and the run index, so
-reports are byte-identical across reruns and worker counts on the same
-numpy/BLAS build and CPU, and enabling the second architecture never
-shifts the first one's streams.
+or a Markdown table.  The runs of one architecture train in one process, as
+one ensemble along a leading run axis.  Every run's seed is mixed from the
+master seed, the architecture id, and the run index, so reports are
+byte-identical across reruns and worker counts on the same numpy/BLAS
+build and CPU, and enabling the second architecture never shifts the
+first one's streams.
 """
 
 from __future__ import annotations
@@ -17,10 +16,10 @@ import argparse
 import csv
 import io
 import json
+import operator
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from itertools import groupby
 
 import numpy as np
 
@@ -180,24 +179,6 @@ def execute_run(experiment: str, architecture: str, run_index: int, seed: int, c
     return execute_runs(experiment, architecture, [run_index], [seed], config)[0]
 
 
-def _slices(spec: ExperimentSpec, workers: int) -> list[list[tuple[str, list[int]]]]:
-    """``run_experiment``'s plan: every (architecture, run index) pair, architecture-major, cut into
-    ``min(workers, pairs)`` contiguous slices, each listed as the (architecture, run indices) cells it touches."""
-    pairs = [(arch, i) for arch in spec.architectures for i in range(spec.runs)]
-    count = min(workers, len(pairs))
-    chunks = (pairs[len(pairs) * s // count : len(pairs) * (s + 1) // count] for s in range(count))
-    return [[(arch, [i for _, i in cell]) for arch, cell in groupby(chunk, key=lambda pair: pair[0])] for chunk in chunks]
-
-
-def _execute_slice(spec: ExperimentSpec, config: TrainConfig, cells: list[tuple[str, list[int]]]) -> list[RunReport]:
-    """Trains one ensemble per cell of a ``_slices`` slice."""
-    rows = []
-    for arch, indices in cells:
-        seeds = [derive_seed(spec.master_seed, f"{spec.experiment}_{arch}", i) for i in indices]
-        rows.extend(execute_runs(spec.experiment, arch, indices, seeds, config))
-    return rows
-
-
 def _mean(values: list[float]) -> float | None:
     if not values:
         return None
@@ -207,29 +188,35 @@ def _mean(values: list[float]) -> float | None:
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentReport:
     """Runs spec.runs seeded runs per architecture and aggregates them.
 
-    ``_slices`` cuts the runs into at most ``workers`` slices of whole
-    architectures where it can; the calling process trains the first and a
-    process pool the others, each as one ensemble per architecture it
-    touches.  Child seeds depend only on (master seed, architecture id, run
-    index), every ensemble member computes exactly what it would alone,
-    and rows are merged by (architecture, run index), so the report is a
-    pure function of its ExperimentSpec whatever the worker count.
+    Each architecture's runs train as one ensemble in one process: the
+    calling process trains the first, and a pool of up to ``workers - 1``
+    processes the others.  Child seeds depend only on (master seed,
+    architecture id, run index) and every member computes exactly what it
+    would alone, so the report is a pure function of its ExperimentSpec
+    whatever the worker count.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    try:
+        valid = operator.index(workers) >= 1
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     config = resolved_train_config(spec)
-    first, *rest = _slices(spec, workers)
-    if not rest:
-        rows = _execute_slice(spec, config, first)
+    indices = list(range(spec.runs))
+    jobs = [
+        (spec.experiment, arch, indices, [derive_seed(spec.master_seed, f"{spec.experiment}_{arch}", i) for i in indices], config)
+        for arch in spec.architectures
+    ]
+    pool_size = min(workers - 1, len(jobs) - 1)
+    if pool_size == 0:
+        results = [execute_runs(*job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=len(rest)) as pool:
-            futures = [pool.submit(_execute_slice, spec, config, cells) for cells in rest]
-            rows = _execute_slice(spec, config, first)
-            rows += [row for future in futures for row in future.result()]
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            futures = [pool.submit(execute_runs, *job) for job in jobs[1:]]
+            results = [execute_runs(*jobs[0])] + [future.result() for future in futures]
 
     arch_reports = []
-    for arch in spec.architectures:
-        arch_rows = sorted((r for r in rows if r.architecture == arch), key=lambda r: r.run_index)
+    for arch, arch_rows in zip(spec.architectures, results):
         kept = [r for r in arch_rows if not r.failed]
         arch_reports.append(
             ArchitectureReport(
@@ -288,7 +275,13 @@ def render_csv(report: ExperimentReport) -> str:
 
 
 def render_json(report: ExperimentReport) -> str:
-    return json.dumps(asdict(report), indent=2) + "\n"
+    """The report as strict JSON: a diverged run's non-finite loss is null."""
+    payload = asdict(report)
+    for arch in payload["architectures"]:
+        for row in arch["runs"]:
+            if not np.isfinite(row["final_loss"]):
+                row["final_loss"] = None
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _percent(value: float | None) -> str:

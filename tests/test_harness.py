@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import warnings
+from concurrent.futures import Future
 from dataclasses import asdict
 from pathlib import Path
 
@@ -19,9 +20,9 @@ from symnet.tasks import make_identity_dataset, make_rule_dataset
 from symnet.training import TrainConfig
 from symnet.harness import (
     ExperimentSpec,
-    _slices,
     build_network,
     execute_run,
+    execute_runs,
     main,
     parse_cli,
     render_csv,
@@ -186,9 +187,8 @@ class TestRunExperiment:
             assert again == row
 
     def test_parallel_execution_matches_serial(self):
-        # 8 pairs cut into slices of 2, 3 and 3, the middle one straddling
-        # the architecture boundary; 4 pairs cut into 1, 1 and 2, which
-        # splits dense and leaves conv whole
+        # more workers than architectures: conv still trains whole in one
+        # pool process, and the extra worker is never started
         for runs in (4, 2):
             spec = small_spec(architectures=("dense", "conv"), runs=runs)
             serial = run_experiment(spec)
@@ -209,7 +209,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", spawn)
         assert render_csv(run_experiment(spec, workers=2)) == serial
 
-    @pytest.mark.parametrize("workers", [0, -2])
+    @pytest.mark.parametrize("workers", [0, -2, 2.5])
     def test_workers_below_one_are_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):
             run_experiment(small_spec(runs=1), workers=workers)
@@ -237,36 +237,51 @@ class TestRunExperiment:
             assert row.restarts <= 50
 
 
-class TestSlices:
-    @pytest.mark.parametrize("runs", [1, 2, 3, 4, 7, 100])
-    @pytest.mark.parametrize("workers", [1, 2, 3, 5, 8])
-    def test_every_pair_once_in_architecture_major_order(self, runs, workers):
-        plan = _slices(small_spec(architectures=("dense", "conv"), runs=runs), workers)
-        pairs = [(arch, i) for cells in plan for arch, indices in cells for i in indices]
-        assert pairs == [(arch, i) for arch in ("dense", "conv") for i in range(runs)]
-        assert len(plan) == min(workers, 2 * runs)
-        # near-equal slices, each training one ensemble per architecture it touches
-        sizes = [sum(len(indices) for _, indices in cells) for cells in plan]
-        assert max(sizes) - min(sizes) <= 1
-        for cells in plan:
-            archs = [arch for arch, _ in cells]
-            assert len(set(archs)) == len(archs)
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: runs each submitted job inline and records it."""
 
-    @pytest.mark.parametrize("runs", [1, 2, 100])
-    def test_no_more_workers_than_architectures_splits_no_cell(self, runs):
-        plan = _slices(small_spec(architectures=("dense", "conv"), runs=runs), 2)
-        assert plan == [[("dense", list(range(runs)))], [("conv", list(range(runs)))]]
+    def __init__(self, pools, max_workers):
+        self.max_workers = max_workers
+        self.jobs = []
+        pools.append(self)
 
-    def test_workers_beyond_the_pairs_start_no_pool(self, monkeypatch):
-        spec = small_spec(runs=1)
-        assert _slices(spec, 3) == [[("conv", [0])]]
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.jobs.append((fn, args))
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestPoolPlan:
+    @pytest.mark.parametrize("workers", [2, 3, 8])
+    def test_one_pool_process_trains_conv_whole(self, monkeypatch, workers):
+        spec = small_spec(architectures=("dense", "conv"), runs=3)
+        serial = render_csv(run_experiment(spec))
+        pools = []
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(_RecordingPool, pools))
+        assert render_csv(run_experiment(spec, workers=workers)) == serial
+        [pool] = pools
+        assert pool.max_workers == 1
+        [(fn, args)] = pool.jobs
+        assert fn is execute_runs
+        assert args[1:3] == ("conv", [0, 1, 2])
+
+    @pytest.mark.parametrize("architectures, workers", [(("conv",), 3), (("dense", "conv"), 1)], ids=["one-architecture", "one-worker"])
+    def test_one_architecture_or_one_worker_starts_no_pool(self, monkeypatch, architectures, workers):
+        spec = small_spec(architectures=architectures, runs=1)
 
         def no_pool(*args, **kwargs):
-            raise AssertionError("a single slice must not start a process pool")
+            raise AssertionError("the calling process alone must train the report")
 
         serial = render_csv(run_experiment(spec))
         monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
-        assert render_csv(run_experiment(spec, workers=3)) == serial
+        assert render_csv(run_experiment(spec, workers=workers)) == serial
 
 
 class TestReports:
@@ -293,6 +308,15 @@ class TestReports:
         # every field of the report, floats included, survives a JSON load
         report = run_experiment(small_spec(architectures=("dense", "conv"), runs=2))
         assert json.loads(render_json(report)) == asdict(report)
+
+    def test_json_writes_a_diverged_loss_as_null(self):
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        spec = small_spec(runs=1, train=TrainConfig(epochs=5, learning_rate=1e308))
+        payload = json.loads(render_json(run_experiment(spec)), parse_constant=reject)
+        [row] = payload["architectures"][0]["runs"]
+        assert row["failed"] and row["final_loss"] is None
 
     def test_json_is_plain_data(self):
         payload = json.loads(render_json(run_experiment(small_spec(runs=1))))
