@@ -17,7 +17,7 @@ import symnet
 from symnet import harness
 from symnet.ndcore import SeededRng, derive_seed, init_uniform
 from symnet.tasks import make_identity_dataset, make_rule_dataset
-from symnet.training import TrainConfig
+from symnet.training import RunReport, TrainConfig
 from symnet.harness import (
     ExperimentSpec,
     build_network,
@@ -258,7 +258,58 @@ class _RecordingPool:
         return future
 
 
-class TestPoolPlan:
+class TestSlices:
+    """Each architecture's runs are one ``execute_runs`` job, trained whole by one process."""
+
+    @staticmethod
+    def plan(monkeypatch, spec, workers):
+        """Runs ``spec`` with training stubbed out.  Returns the report, the jobs the calling
+        process trained, and each pool's (size, jobs); a job is (architecture, run indices)."""
+        calls = []
+
+        def fake_runs(experiment, arch, indices, seeds, config):
+            calls.append((arch, list(indices)))
+            return [RunReport(experiment, arch, i, seed, 0, 1.0, 1.0, 0.0) for i, seed in zip(indices, seeds)]
+
+        pools = []
+        monkeypatch.setattr(harness, "execute_runs", fake_runs)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(_RecordingPool, pools))
+        report = run_experiment(spec, workers=workers)
+        pooled = [(pool.max_workers, [(args[1], args[2]) for _, args in pool.jobs]) for pool in pools]
+        inline = list(calls)
+        for _, jobs in pooled:
+            for job in jobs:
+                inline.remove(job)
+        return report, inline, pooled
+
+    @pytest.mark.parametrize("runs", [1, 2, 3, 4, 7, 100])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5, 8])
+    def test_every_pair_once_in_architecture_major_order(self, monkeypatch, runs, workers):
+        spec = small_spec(architectures=("dense", "conv"), runs=runs)
+        report, inline, pooled = self.plan(monkeypatch, spec, workers)
+        pairs = [(arch.architecture, row.run_index) for arch in report.architectures for row in arch.runs]
+        assert pairs == [(arch, i) for arch in ("dense", "conv") for i in range(runs)]
+        # one job per architecture holding all its runs, over min(workers, architectures) processes
+        jobs = inline + [job for _, pool_jobs in pooled for job in pool_jobs]
+        assert sorted(jobs) == [("conv", list(range(runs))), ("dense", list(range(runs)))]
+        assert 1 + sum(size for size, _ in pooled) == min(workers, 2)
+
+    @pytest.mark.parametrize("runs", [1, 2, 100])
+    def test_no_more_workers_than_architectures_splits_no_cell(self, monkeypatch, runs):
+        _, inline, pooled = self.plan(monkeypatch, small_spec(architectures=("dense", "conv"), runs=runs), 2)
+        assert inline == [("dense", list(range(runs)))]
+        assert pooled == [(1, [("conv", list(range(runs)))])]
+
+    def test_workers_beyond_the_pairs_start_no_pool(self, monkeypatch):
+        spec = small_spec(runs=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single architecture must not start a process pool")
+
+        serial = render_csv(run_experiment(spec))
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        assert render_csv(run_experiment(spec, workers=3)) == serial
+
     @pytest.mark.parametrize("workers", [2, 3, 8])
     def test_one_pool_process_trains_conv_whole(self, monkeypatch, workers):
         spec = small_spec(architectures=("dense", "conv"), runs=3)
@@ -271,17 +322,6 @@ class TestPoolPlan:
         [(fn, args)] = pool.jobs
         assert fn is execute_runs
         assert args[1:3] == ("conv", [0, 1, 2])
-
-    @pytest.mark.parametrize("architectures, workers", [(("conv",), 3), (("dense", "conv"), 1)], ids=["one-architecture", "one-worker"])
-    def test_one_architecture_or_one_worker_starts_no_pool(self, monkeypatch, architectures, workers):
-        spec = small_spec(architectures=architectures, runs=1)
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("the calling process alone must train the report")
-
-        serial = render_csv(run_experiment(spec))
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
-        assert render_csv(run_experiment(spec, workers=workers)) == serial
 
 
 class TestReports:
