@@ -25,10 +25,11 @@ import numpy as np
 
 from symnet.ndcore import SeededRng, derive_seed
 from symnet.layers import Conv1DLayer, DenseLayer, GlobalMaxPool, Reshape, Sigmoid, Transpose
-from symnet.training import Network, RunReport, TrainConfig, evaluate, train
+from symnet.training import Network, TrainConfig, evaluate, train
 from symnet.tasks import Dataset, dataset_to_csv, make_identity_dataset, make_rule_dataset
 
-EXPERIMENTS = ("identity", "rule")
+DATASETS = {"identity": make_identity_dataset, "rule": make_rule_dataset}
+EXPERIMENTS = tuple(DATASETS)
 ARCHITECTURES = ("dense", "conv")  # report order: unconstrained first
 ARCH_LABELS = {"dense": "Unconstrained", "conv": "Convolutional"}
 
@@ -51,6 +52,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}")
+        if isinstance(self.architectures, str):
+            raise ValueError(f"architectures must be a tuple such as ({self.architectures!r},), not a bare string")
         self.architectures = tuple(self.architectures)
         if not self.architectures:
             raise ValueError("at least one architecture must be selected")
@@ -65,7 +68,20 @@ class ExperimentSpec:
             raise ValueError("master_seed must be in [0, 2**64), so that no two seeds alias")
 
 
-# The field order of these two reports is the key order of the JSON report.
+# The field order of these three reports is the key order of the JSON report.
+@dataclass
+class RunReport:
+    experiment: str
+    architecture: str
+    run_index: int
+    seed: int
+    restarts: int
+    train_accuracy: float
+    test_accuracy: float
+    final_loss: float
+    failed: bool = False  # never reached 100% training accuracy
+
+
 @dataclass
 class ArchitectureReport:
     architecture: str
@@ -95,11 +111,7 @@ def resolved_train_config(spec: ExperimentSpec) -> TrainConfig:
 
 
 def make_dataset(experiment: str) -> Dataset:
-    if experiment == "identity":
-        return make_identity_dataset()
-    if experiment == "rule":
-        return make_rule_dataset()
-    raise ValueError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
+    return DATASETS[experiment]()
 
 
 def build_network(experiment: str, architecture: str, rng: SeededRng) -> Network:

@@ -2,11 +2,12 @@
 
 Shape conventions: dense activations are ``(units,)`` or ``(batch, units)``;
 convolution and pooling activations are ``(channels, positions)`` or
-``(batch, channels, positions)``.  Every ``backward`` takes the same input
-it saw in ``forward`` plus the upstream gradient and returns gradients whose
-shapes mirror the parameters / input exactly.  Layers hold their parameters
-but never mutate them during forward/backward; updates happen in
-``training.gd_step``.  Networks drive every stage through the one
+``(batch, channels, positions)``.  Every ``backward`` takes the upstream
+gradient and what it needs from ``forward`` (a dense or conv layer's input,
+Sigmoid's output, GlobalMaxPool's argmax, nothing for a reshape) and returns
+gradients whose shapes mirror the parameters / input exactly.  Layers hold
+their parameters but never mutate them during forward/backward; updates
+happen in ``training.gd_step``.  Networks drive every stage through the one
 protocol that ``Stage`` defines.
 
 Parameters may carry a leading run axis: a dense layer with weights of
@@ -315,7 +316,7 @@ class Conv1DLayer(ParametricStage):
         argmax = routed.argmax.reshape(up.shape)
         rows = np.swapaxes(padded, -1, -2)  # (..., batch, padded positions, in_channels)
         # an index for each run and batch axis of rows, broadcast against argmax's (runs, batch, channels)
-        lead =tuple(np.arange(n).reshape((n,) + (1,) * (rows.ndim - 2 - i)) for i, n in enumerate(rows.shape[:-2]))
+        lead = tuple(np.arange(n).reshape((n,) + (1,) * (rows.ndim - 2 - i)) for i, n in enumerate(rows.shape[:-2]))
         d_filters = np.empty_like(self.filters)
         for t in range(self.width):
             d_filters[..., t] = (up[..., None] * rows[lead + (argmax + t,)]).sum(axis=-3)

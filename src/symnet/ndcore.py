@@ -96,10 +96,9 @@ class SeededRng:
     __slots__ = ("_s",)
 
     def __init__(self, seed: int):
-        state = [_mix64((seed + i * _SPLITMIX_GAMMA) & _MASK64) for i in range(4)]
-        if not any(state):
-            state[0] = 1  # xoshiro state must not be all zero
-        self._s = state
+        # _mix64 is a bijection and these four inputs are distinct, so at most
+        # one word is 0 and the state is never the all-zero one xoshiro forbids
+        self._s = [_mix64((seed + i * _SPLITMIX_GAMMA) & _MASK64) for i in range(4)]
 
     def next_u64(self) -> int:
         s0, s1, s2, s3 = self._s

@@ -71,7 +71,6 @@ class DataSplit:
 
 @dataclass(eq=False)
 class Dataset:
-    name: str
     train: DataSplit
     test: DataSplit
 
@@ -86,7 +85,7 @@ def make_identity_dataset() -> Dataset:
         return DataSplit(name, inputs, inputs.copy(), text, text)
 
     top = 2**bit_count
-    return Dataset("identity", split("train", range(0, top, 2)), split("test", range(1, top, 2)))
+    return Dataset(split("train", range(0, top, 2)), split("test", range(1, top, 2)))
 
 
 def make_rule_dataset() -> Dataset:
@@ -112,7 +111,7 @@ def make_rule_dataset() -> Dataset:
 
     test = [((a, b, a), "ABA") for a, b in TEST_PAIRS]
     test += [((a, b, b), "ABB") for a, b in TEST_PAIRS]
-    return Dataset("rule", build("train", train), build("test", test))
+    return Dataset(build("train", train), build("test", test))
 
 
 def dataset_to_csv(dataset: Dataset) -> str:

@@ -232,11 +232,12 @@ def evaluate(network: Network, data) -> float | np.ndarray:
     return _total(hit, runs) / t.shape[0]
 
 
-@dataclass
+@dataclass(kw_only=True)
 class TrainConfig:
+    # no default rate or restart budget: each experiment's own live in the harness
     epochs: int = 1000
-    learning_rate: float = 1.0
-    max_restarts: int = 0
+    learning_rate: float
+    max_restarts: int
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -342,18 +343,3 @@ def _descend(network: Network, inputs, targets, config: TrainConfig, loss_fn) ->
                     getattr(record, f"d_{name}")[~finite] = 0.0
         gd_step(network, gradients, config.learning_rate)
     return [table[:n, r].tolist() for r, n in enumerate(stop)]
-
-
-@dataclass
-class RunReport:
-    """One training run as reported by the experiment harness."""
-
-    experiment: str
-    architecture: str
-    run_index: int
-    seed: int
-    restarts: int
-    train_accuracy: float
-    test_accuracy: float
-    final_loss: float
-    failed: bool = False  # never reached 100% training accuracy

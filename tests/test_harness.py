@@ -17,9 +17,10 @@ import symnet
 from symnet import harness
 from symnet.ndcore import SeededRng, derive_seed, init_uniform
 from symnet.tasks import make_identity_dataset, make_rule_dataset
-from symnet.training import RunReport, TrainConfig
+from symnet.training import TrainConfig
 from symnet.harness import (
     ExperimentSpec,
+    RunReport,
     build_network,
     execute_run,
     execute_runs,
@@ -92,6 +93,8 @@ class TestExperimentSpec:
             ExperimentSpec(experiment="identity", architectures=())
         with pytest.raises(ValueError):
             ExperimentSpec(experiment="identity", architectures=("rnn",))
+        with pytest.raises(ValueError, match=r"tuple such as \('conv',\)"):
+            ExperimentSpec("identity", "conv")  # not one architecture per letter
         with pytest.raises(ValueError):
             ExperimentSpec(experiment="identity", runs=0)
 
@@ -127,12 +130,19 @@ class TestExperimentSpec:
         assert rule.max_restarts == 50
 
     def test_identity_max_restarts_is_honoured(self):
-        spec = ExperimentSpec(experiment="identity", train=TrainConfig(max_restarts=50))
+        spec = ExperimentSpec(experiment="identity", train=TrainConfig(learning_rate=1.0, max_restarts=50))
         assert resolved_train_config(spec).max_restarts == 50
         assert parse_cli(["--experiment", "identity", "--max-restarts", "3"])[0].train.max_restarts == 3
         # an unlearnable step size uses up the whole budget, so every restart shows in the row
         row = execute_run("identity", "dense", 0, 1, TrainConfig(epochs=2, learning_rate=1e-9, max_restarts=2))
         assert row.restarts == 2 and row.failed
+
+    def test_experiment_tables_share_one_key_set(self):
+        assert harness.EXPERIMENTS == ("identity", "rule")
+        for table in (harness.DEFAULT_LEARNING_RATES, harness.DEFAULT_MAX_RESTARTS, harness.EXPERIMENT_LOSSES):
+            assert tuple(table) == harness.EXPERIMENTS
+        with pytest.raises(KeyError):
+            harness.make_dataset("parity")
 
     def test_loss_follows_experiment_not_override(self):
         # the loss is a property of the network build_network makes; no
@@ -141,7 +151,7 @@ class TestExperimentSpec:
             assert build_network("identity", arch, SeededRng(0)).loss == "squared_error"
             assert build_network("rule", arch, SeededRng(0)).loss == "cross_entropy"
         with pytest.raises(TypeError):
-            TrainConfig(loss="squared_error")
+            TrainConfig(learning_rate=1.0, max_restarts=0, loss="squared_error")
 
 
 class TestSeeding:
@@ -353,7 +363,7 @@ class TestReports:
         def reject(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
 
-        spec = small_spec(runs=1, train=TrainConfig(epochs=5, learning_rate=1e308))
+        spec = small_spec(runs=1, train=TrainConfig(epochs=5, learning_rate=1e308, max_restarts=0))
         payload = json.loads(render_json(run_experiment(spec)), parse_constant=reject)
         [row] = payload["architectures"][0]["runs"]
         assert row["failed"] and row["final_loss"] is None
@@ -496,6 +506,13 @@ class TestGoldenReports:
             report = run_experiment(ExperimentSpec(experiment, runs=5, master_seed=0))
             golden = (GOLDEN_DIR / f"report_{experiment}.json").read_bytes()
             assert render_json(report).encode("utf-8") == golden, f"report_{experiment}.json"
+
+    def test_diverged_markdown_matches_golden_bytes(self, capsys):
+        # every run fails, so the table holds only n/a and the failed-runs line
+        assert main(["--experiment", "rule", "--lr", "1e308", "--runs", "2", "--epochs", "20"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.encode("utf-8") == (GOLDEN_DIR / "report_rule_diverged.md").read_bytes()
+        assert captured.err == ""
 
     def test_default_100_run_reports_match_golden_digests(self):
         # The full default protocol at master seed 0, whose ensembles reduce

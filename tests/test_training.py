@@ -206,7 +206,7 @@ class TestNetwork:
         # dense array once per epoch.  Both train bit for bit as they do when
         # max pooling hands down GlobalMaxPool.backward's dense gradient
         data = make_rule_dataset().train
-        config = TrainConfig(epochs=40, learning_rate=0.1)
+        config = TrainConfig(epochs=40, learning_rate=0.1, max_restarts=0)
 
         def trained():
             nets = [build_network("rule", architecture, SeededRng(derive_seed(9, architecture, r))) for r in range(members or 1)]
@@ -315,23 +315,28 @@ class TestDiscretiseAndEvaluate:
 
 
 class TestTrainConfig:
+    def test_rate_and_restart_budget_have_no_default(self):
+        # each experiment's values live in the harness, not here
+        with pytest.raises(TypeError, match="learning_rate.*max_restarts"):
+            TrainConfig(epochs=300)
+
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            TrainConfig(epochs=0)
+            TrainConfig(epochs=0, learning_rate=1.0, max_restarts=0)
         with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
+            TrainConfig(learning_rate=0.0, max_restarts=0)
         with pytest.raises(ValueError):
-            TrainConfig(max_restarts=-1)
+            TrainConfig(learning_rate=1.0, max_restarts=-1)
         for rate in (math.inf, math.nan):
             with pytest.raises(ValueError, match="learning_rate"):
-                TrainConfig(learning_rate=rate)
+                TrainConfig(learning_rate=rate, max_restarts=0)
 
 
 class TestTrain:
     def test_conv_identity_run_reaches_full_training_accuracy(self):
         ds = make_identity_dataset()
         net = build_network("identity", "conv", SeededRng(123))
-        result = train(net, ds.train, TrainConfig(epochs=1000, learning_rate=1.0))
+        result = train(net, ds.train, TrainConfig(epochs=1000, learning_rate=1.0, max_restarts=0))
         assert result.reached_criterion
         assert result.restarts == 0
         assert evaluate(net, ds.train) == 1.0
@@ -344,7 +349,7 @@ class TestTrain:
         net = build_network("identity", "conv", SeededRng(0))
         net.stages[1] = layer
         assert evaluate(net, ds.train) == 1.0
-        result = train(net, ds.train, TrainConfig(epochs=5, learning_rate=0.1), SeededRng(1))
+        result = train(net, ds.train, TrainConfig(epochs=5, learning_rate=0.1, max_restarts=0), SeededRng(1))
         assert result.restarts == 0
         assert result.reached_criterion
         assert evaluate(net, ds.train) == 1.0
@@ -352,7 +357,7 @@ class TestTrain:
     def test_unlearnable_config_reports_failure_after_full_budget(self):
         ds = make_identity_dataset()
         net = build_network("identity", "dense", SeededRng(9))
-        result = train(net, ds.train, TrainConfig(epochs=40, learning_rate=1e-9))
+        result = train(net, ds.train, TrainConfig(epochs=40, learning_rate=1e-9, max_restarts=0))
         assert not result.reached_criterion
         assert result.restarts == 0
         assert len(result.losses) == 40
@@ -379,12 +384,12 @@ class TestTrain:
     def test_restarts_require_rng(self):
         net = build_network("identity", "dense", SeededRng(0))
         with pytest.raises(ValueError):
-            train(net, make_identity_dataset().train, TrainConfig(max_restarts=1))
+            train(net, make_identity_dataset().train, TrainConfig(learning_rate=1.0, max_restarts=1))
 
     def test_empty_data_rejected(self):
         net = build_network("identity", "dense", SeededRng(0))
         with pytest.raises(ValueError):
-            train(net, (np.zeros((0, 5)), np.zeros((0, 5))), TrainConfig())
+            train(net, (np.zeros((0, 5)), np.zeros((0, 5))), TrainConfig(learning_rate=1.0, max_restarts=0))
 
     def test_one_update_per_epoch_on_summed_loss(self):
         ds = make_identity_dataset()
@@ -397,7 +402,7 @@ class TestTrain:
         want_w = w0 - 0.25 * g.d_weights
         want_b = b0 - 0.25 * g.d_bias
         net2 = build_network("identity", "dense", SeededRng(77))
-        train(net2, ds.train, TrainConfig(epochs=1, learning_rate=0.25))
+        train(net2, ds.train, TrainConfig(epochs=1, learning_rate=0.25, max_restarts=0))
         assert np.array_equal(net2.parametric_stages[0].weights, want_w)
         assert np.array_equal(net2.parametric_stages[0].bias, want_b)
 
@@ -406,7 +411,7 @@ class TestTrain:
         for _ in range(2):
             rng = SeededRng(31)
             net = build_network("rule", "conv", rng)
-            train(net, make_rule_dataset().train, TrainConfig(epochs=50, learning_rate=0.1), rng)
+            train(net, make_rule_dataset().train, TrainConfig(epochs=50, learning_rate=0.1, max_restarts=0), rng)
             results.append(net.parametric_stages[0].filters.copy())
         assert np.array_equal(results[0], results[1])
 
@@ -458,7 +463,7 @@ class TestEnsemble:
 
     def test_plain_network_trains_as_one_member_ensemble(self):
         ds = make_identity_dataset()
-        config = TrainConfig(epochs=50)
+        config = TrainConfig(epochs=50, learning_rate=1.0, max_restarts=0)
         plain = build_network("identity", "conv", SeededRng(8))
         ensemble = Network.stack([build_network("identity", "conv", SeededRng(8))])
         result = train(plain, ds.train, config)
@@ -506,12 +511,12 @@ class TestEnsemble:
         def net(member):
             return Network([DenseLayer(firsts[member], np.zeros(4)), DenseLayer(seconds[member], np.zeros(2))])
 
-        config = TrainConfig(epochs=5, learning_rate=0.1)
+        config = TrainConfig(epochs=5, learning_rate=0.1, max_restarts=0)
         ensemble = Network.stack([net(member) for member in range(3)])
         with np.errstate(over="ignore", invalid="ignore"):
             results = train(ensemble, (inputs, targets), config)
             once = net(1)
-            first = train(once, (inputs, targets), TrainConfig(epochs=1, learning_rate=0.1))
+            first = train(once, (inputs, targets), TrainConfig(epochs=1, learning_rate=0.1, max_restarts=0))
         assert len(results[1].losses) == 2
         assert results[1].losses[0] == first.losses[0] and math.isfinite(first.losses[0])
         assert results[1].losses[1] == math.inf and results[1].final_loss == math.inf
@@ -603,6 +608,6 @@ class TestEnsemble:
         ensemble = Network.stack([build_network("identity", "dense", SeededRng(s)) for s in range(2)])
         data = make_identity_dataset().train
         with pytest.raises(ValueError):
-            train(ensemble, data, TrainConfig(max_restarts=1), [SeededRng(0), None])
+            train(ensemble, data, TrainConfig(learning_rate=1.0, max_restarts=1), [SeededRng(0), None])
         with pytest.raises(ValueError):
-            train(ensemble, data, TrainConfig(epochs=1), [SeededRng(0)])
+            train(ensemble, data, TrainConfig(epochs=1, learning_rate=1.0, max_restarts=0), [SeededRng(0)])
