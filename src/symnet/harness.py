@@ -16,14 +16,13 @@ import argparse
 import csv
 import io
 import json
-import operator
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from symnet.ndcore import SeededRng, derive_seed
+from symnet.ndcore import SeededRng, check_integer, derive_seed
 from symnet.layers import Conv1DLayer, DenseLayer, GlobalMaxPool, Reshape, Sigmoid, Transpose
 from symnet.training import Network, TrainConfig, evaluate, train
 from symnet.tasks import Dataset, dataset_to_csv, make_identity_dataset, make_rule_dataset
@@ -62,10 +61,8 @@ class ExperimentSpec:
                 raise ValueError(f"unknown architecture {arch!r}; expected a subset of {ARCHITECTURES}")
         if len(set(self.architectures)) != len(self.architectures):
             raise ValueError(f"architectures must not repeat, got {self.architectures}")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must be in [0, 2**64), so that no two seeds alias")
+        check_integer("runs", self.runs, 1)
+        check_integer("master_seed", self.master_seed, 0, 2**64)  # seeds mix modulo 2**64, so no two may alias
 
 
 # The field order of these three reports is the key order of the JSON report.
@@ -207,12 +204,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentReport:
     would alone, so the report is a pure function of its ExperimentSpec
     whatever the worker count.
     """
-    try:
-        valid = operator.index(workers) >= 1
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    check_integer("workers", workers, 1)
     config = resolved_train_config(spec)
     indices = list(range(spec.runs))
     jobs = [

@@ -125,6 +125,12 @@ class ParametricStage(Stage):
             setattr(clone, name, value)
         return clone
 
+    def prepare(self, x):
+        """What ``forward`` and ``backward`` take in place of ``x`` when the
+        same input comes back every epoch; ``x`` itself unless a layer can
+        do part of its work once.  Training calls it once per train call."""
+        return x
+
     def step(self, x) -> tuple[np.ndarray, np.ndarray]:
         return self.forward(x), x
 
@@ -235,48 +241,68 @@ class Conv1DLayer(ParametricStage):
     def width(self) -> int:
         return self.filters.shape[-1]
 
-    def _padded(self, xb: np.ndarray) -> np.ndarray:
-        if self.padding == PADDING_NONE:
-            return xb
-        pad = (self.width - 1) // 2
-        padded = np.zeros(xb.shape[:-1] + (xb.shape[-1] + 2 * pad,))
-        padded[..., pad : pad + xb.shape[-1]] = xb
-        return padded
-
-    def _batched_input(self, x, what: str) -> tuple[np.ndarray, bool]:
-        xb, single = _as_batch(x, 2, what, self.runs)
+    def prepare(self, x) -> "TapWindows":
+        """Validates and pads ``x`` once, and gathers its tap windows: the
+        input that ``forward`` and ``backward`` take in place of ``x``."""
+        xb, single = _as_batch(x, 2, "conv input", self.runs)
         if xb.shape[-2] != self.in_channels:
-            raise ShapeError(f"{what}: input {xb.shape} does not match filters {self.filters.shape}")
+            raise ShapeError(f"conv input {xb.shape} does not match filters {self.filters.shape}")
         if self.padding == PADDING_NONE and xb.shape[-1] < self.width:
-            raise ShapeError(f"{what}: {xb.shape[-1]} positions is fewer than filter width {self.width}")
-        return xb, single
+            raise ShapeError(f"conv input: {xb.shape[-1]} positions is fewer than filter width {self.width}")
+        if self.padding == PADDING_NONE:
+            padded = xb
+        else:
+            pad = (self.width - 1) // 2
+            padded = np.zeros(xb.shape[:-1] + (xb.shape[-1] + 2 * pad,))
+            padded[..., pad : pad + xb.shape[-1]] = xb
+        out_p = padded.shape[-1] - self.width + 1
+        gathered = padded[..., np.arange(self.width)[:, None] + np.arange(out_p)]  # (..., in_ch, width, out_pos)
+        if self.runs is not None and xb.ndim == 3:
+            gathered = gathered[None]  # a run axis of 1: every member reads the same batch
+        windows = np.ascontiguousarray(np.moveaxis(gathered, (-3, -2), (0, 1))[..., None, :])
+        return TapWindows(padded, windows, single, self.padding)
+
+    def _windows(self, x) -> "TapWindows":
+        if not isinstance(x, TapWindows):
+            return self.prepare(x)
+        if (x.windows.shape[:2], x.windows.ndim, x.padding) != ((self.in_channels, self.width), self.filters.ndim + 2, self.padding):
+            raise ShapeError(
+                f"conv: tap windows {x.windows.shape} with {x.padding} padding were not gathered for "
+                f"filters {self.filters.shape} with {self.padding} padding"
+            )
+        return x
+
+    def _taps(self) -> np.ndarray:
+        """The filters laid out tap-major against the windows: (in_ch, width, [runs,] 1, out_ch, 1)."""
+        nd = self.filters.ndim
+        return self.filters.transpose((nd - 2, nd - 1) + tuple(range(nd - 2)))[..., None, :, None]
 
     def forward(self, x) -> np.ndarray:
         """y[c][p] = b[c] + sum over (k, t) of filters[c][k][t] * x_padded[k][p + t].
 
-        The contraction is a fixed-order loop over filter taps rather than an
-        einsum: einsum's buffered iteration can group the same sum differently
-        for different memory layouts, which would break bit-level
-        reproducibility of whole training runs.
+        ``x`` is an input or the TapWindows that ``prepare`` gathered from
+        it.  The contraction is one C-ordered product of the tap-major
+        filters and the windows, reduced over its two leading (channel, tap)
+        axes: numpy adds those slices into the sum in index order, the
+        order of a loop over channels and then taps.  ``order="C"`` pins the
+        product's layout; a layout left to numpy, or an einsum, could group
+        the same sum differently for different memory layouts, which would
+        break bit-level reproducibility of whole training runs.
         """
-        xb, single = self._batched_input(x, "conv forward")
-        padded = self._padded(xb)
-        out_p = padded.shape[-1] - self.width + 1
-        y = np.zeros(_batch_lead(padded, 2, self.runs) + (self.out_channels, out_p))
-        for k in range(self.in_channels):
-            for t in range(self.width):
-                y += self.filters[..., None, :, k, t, None] * padded[..., None, k, t : t + out_p]
+        w = self._windows(x)
+        y = np.add.reduce(np.multiply(self._taps(), w.windows, order="C"), axis=(0, 1))
         y += self.bias[..., None, :, None]
-        return y[0] if single else y
+        return y[0] if w.single else y
 
     def backward(self, x, upstream, input_grad: bool = True) -> ConvGradients:
         """Each shared weight's gradient sums its contributions over all
         positions; d_input is the transposed convolution of the upstream,
-        and ``input_grad=False`` leaves it unformed (None).  A PoolGradient
-        upstream with ``input_grad=False`` is gathered at its argmax instead
-        of being spread into the dense upstream."""
-        xb, single = self._batched_input(x, "conv backward")
-        padded = self._padded(xb)
+        and ``input_grad=False`` leaves it unformed (None).  ``x`` is an
+        input or its TapWindows.  A PoolGradient upstream with
+        ``input_grad=False`` is gathered at its argmax instead of being
+        spread into the dense upstream."""
+        w = self._windows(x)
+        padded = w.padded
         if isinstance(upstream, PoolGradient) and not input_grad:
             return self._pooled_gradients(padded, upstream)
         ub, _ = _as_batch(upstream, 2, "conv backward", self.runs)
@@ -285,10 +311,9 @@ class Conv1DLayer(ParametricStage):
             raise ShapeError(
                 f"conv backward: padded input {padded.shape} / upstream {ub.shape} do not match filters {self.filters.shape}"
             )
-        d_filters = np.empty_like(self.filters)
-        for k in range(self.in_channels):
-            for t in range(self.width):
-                d_filters[..., k, t] = (ub * padded[..., None, k, t : t + out_p]).sum(axis=(-3, -1))
+        # (in_ch, width, [runs,] out_ch) summed over batch and positions, each tap's slice as one contiguous block
+        per_tap = np.add.reduce(np.multiply(ub, w.windows, order="C"), axis=(-3, -1))
+        d_filters = per_tap.transpose(tuple(range(2, per_tap.ndim)) + (0, 1))
         d_bias = ub.sum(axis=(-3, -1))
         if not input_grad:
             return ConvGradients(d_filters, d_bias, None)
@@ -301,7 +326,7 @@ class Conv1DLayer(ParametricStage):
             d_input = d_padded[..., pad : d_padded.shape[-1] - pad]
         else:
             d_input = d_padded
-        return ConvGradients(d_filters, d_bias, d_input[0] if single else d_input)
+        return ConvGradients(d_filters, d_bias, d_input[0] if w.single else d_input)
 
     def _pooled_gradients(self, padded: np.ndarray, routed: "PoolGradient") -> ConvGradients:
         """The parameter gradients of ``backward`` for an upstream that max
@@ -321,6 +346,21 @@ class Conv1DLayer(ParametricStage):
         for t in range(self.width):
             d_filters[..., t] = (up[..., None] * rows[lead + (argmax + t,)]).sum(axis=-3)
         return ConvGradients(d_filters, up.sum(axis=-2), None)
+
+
+@dataclass
+class TapWindows:
+    """A conv input gathered once for every epoch that reuses it, in the way
+    a PoolGradient is a routed upstream: the validated, padded input and its
+    tap windows, C-ordered (in_ch, width, [runs or 1,] batch, 1, out_pos),
+    where windows[k, t, ..., b, 0, p] is padded[..., b, k, p + t].  The run
+    axis is there only for a conv whose filters carry one; ``single`` marks
+    an unbatched input, and ``padding`` the mode it was padded for."""
+
+    padded: np.ndarray
+    windows: np.ndarray
+    single: bool
+    padding: str
 
 
 @dataclass

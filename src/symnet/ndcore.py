@@ -11,6 +11,7 @@ broadcasting beyond what the fixed layer shapes need.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence, Union
 
 import numpy as np
@@ -22,6 +23,19 @@ INIT_HALF_WIDTH = 0.5  # weights start uniform in [-0.5, 0.5]
 
 class ShapeError(ValueError):
     """Raised when tensor shapes do not satisfy an operation's contract."""
+
+
+def check_integer(name: str, value, low: int, high: int | None = None) -> None:
+    """Raises a ValueError naming ``name`` unless ``value`` is an integer
+    (anything ``operator.index`` takes, so not a float) that is at least
+    ``low`` and, when ``high`` is given, below it."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < low or (high is not None and number >= high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def tensor(data) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from symnet.layers import Softmax
-from symnet.ndcore import ShapeError, softmax
+from symnet.ndcore import ShapeError, check_integer, softmax
 
 PROB_FLOOR = 1e-12
 CUTOFF = 0.5  # discretise's threshold; outputs at it count as 1
@@ -119,6 +119,11 @@ class Network:
         return [s for s in self.stages if s.params]
 
     @property
+    def first_parametric(self) -> int:
+        """The index of the first stage with parameters, or len(stages) if none has any."""
+        return next((i for i, stage in enumerate(self.stages) if stage.params), len(self.stages))
+
+    @property
     def runs(self) -> int | None:
         """Members along the parameters' run axis, or None for a plain network."""
         stages = self.parametric_stages
@@ -160,8 +165,9 @@ class Network:
                 setattr(stage, name, value)
 
     def forward_pass(self, x) -> tuple[np.ndarray, list]:
-        """Returns the output the loss sees and one cache per stage."""
-        value = np.asarray(x, dtype=np.float64)
+        """Returns the output the loss sees and one cache per stage.  Each
+        stage validates its own input, so ``x`` is whatever the first takes."""
+        value = x
         caches = []
         for stage in self.stages:
             value, cache = stage.step(value)
@@ -180,7 +186,7 @@ class Network:
         of it never run ``backprop``, since nothing reads what they return."""
         if len(caches) != len(self.stages):
             raise ValueError(f"expected {len(self.stages)} caches, got {len(caches)}")
-        first = next((i for i, stage in enumerate(self.stages) if stage.params), len(self.stages))
+        first = self.first_parametric
         grad = np.asarray(upstream, dtype=np.float64)
         collected = []
         for i in range(len(self.stages) - 1, first - 1, -1):
@@ -240,12 +246,10 @@ class TrainConfig:
     max_restarts: int
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        check_integer("epochs", self.epochs, 1)
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and > 0")
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts must be >= 0")
+        check_integer("max_restarts", self.max_restarts, 0)
 
 
 @dataclass(eq=False)
@@ -293,6 +297,13 @@ def _train_ensemble(network: Network, inputs, targets, config: TrainConfig, rngs
     if rngs is not None and len(rngs) != runs:
         raise ValueError(f"got {len(rngs)} rngs for {runs} runs")
     loss_fn = LOSSES[network.loss]
+    # every epoch of every attempt sees the same input, so the parameter-free
+    # stages in front of the first parametric one run, and it prepares, once
+    first = network.first_parametric
+    trunk_input = inputs
+    for stage in network.stages[:first]:
+        trunk_input = stage.forward(trunk_input)
+    trunk_input = network.stages[first].prepare(trunk_input)
     results: list[TrainResult | None] = [None] * runs
     pending = np.arange(runs)
     for attempt in range(config.max_restarts + 1):
@@ -303,11 +314,12 @@ def _train_ensemble(network: Network, inputs, targets, config: TrainConfig, rngs
             for i, member in zip(pending, redrawn):
                 member.reinitialize(rngs[i])
             members = Network.stack(redrawn)
-        losses = _descend(members, inputs, targets, config, loss_fn)
+        trunk = Network(members.stages[first:], members.loss)
+        losses = _descend(trunk, trunk_input, targets, config, loss_fn)
         # a member whose last loss is not finite diverged, and keeps that loss
         last = np.array([member_losses[-1] for member_losses in losses])
         finite_last = np.isfinite(last)
-        final_loss = np.where(finite_last, loss_fn(members.forward_pass(inputs)[0], targets)[0], last)
+        final_loss = np.where(finite_last, loss_fn(trunk.forward_pass(trunk_input)[0], targets)[0], last)
         reached = finite_last & (evaluate(members, (inputs, targets)) == 1.0)
         if attempt > 0:
             network.put(pending, members)
@@ -321,10 +333,11 @@ def _train_ensemble(network: Network, inputs, targets, config: TrainConfig, rngs
 
 def _descend(network: Network, inputs, targets, config: TrainConfig, loss_fn) -> list[list[float]]:
     """Runs one attempt's epochs on every member of ``network`` in place and
-    returns each member's per-epoch losses.  A member whose loss stops being
-    finite keeps the weights that produced that loss, which ends its list:
-    from then on its gradients are zeroed, so it stays frozen in place
-    while the others train on.
+    returns each member's per-epoch losses.  ``network`` starts at its first
+    parametric stage, and ``inputs`` is what that stage's ``prepare`` made.
+    A member whose loss stops being finite keeps the weights that produced
+    that loss, which ends its list: from then on its gradients are zeroed,
+    so it stays frozen in place while the others train on.
     """
     table = np.empty((config.epochs, network.runs))
     stop = np.full(network.runs, config.epochs)

@@ -98,6 +98,12 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(experiment="identity", runs=0)
 
+    @pytest.mark.parametrize("field,value", [("runs", 2.5), ("runs", "4"), ("master_seed", 1.5), ("master_seed", np.float64(0.0))])
+    def test_non_integer_counts_are_rejected_naming_the_field(self, field, value):
+        # a float would otherwise build and fail deep inside run_experiment
+        with pytest.raises(ValueError, match=field):
+            ExperimentSpec("identity", **{field: value})
+
     def test_master_seed_outside_64_bits_is_rejected(self):
         # seeds are mixed modulo 2**64, so -1 would silently run as 2**64 - 1
         for seed in (-1, 2**64):

@@ -184,6 +184,94 @@ class TestConvBackward:
             layer.backward(np.ones((1, 8)), np.ones((1, 8)))  # unpadded output is 6 wide
 
 
+def _loop_padded(conv, xb):
+    if conv.padding == "none":
+        return xb
+    pad = (conv.width - 1) // 2
+    padded = np.zeros(xb.shape[:-1] + (xb.shape[-1] + 2 * pad,))
+    padded[..., pad : pad + xb.shape[-1]] = xb
+    return padded
+
+
+def loop_forward(conv, xb):
+    """The conv's forward as a fixed-order loop over filter taps: the bit-level
+    reference for the tap-major contraction.  ``xb`` is a batch, or one batch
+    per member."""
+    padded = _loop_padded(conv, xb)
+    out_p = padded.shape[-1] - conv.width + 1
+    lead = padded.shape[:-2] if conv.runs is None or padded.ndim == 4 else (conv.runs,) + padded.shape[:-2]
+    y = np.zeros(lead + (conv.out_channels, out_p))
+    for k in range(conv.in_channels):
+        for t in range(conv.width):
+            y += conv.filters[..., None, :, k, t, None] * padded[..., None, k, t : t + out_p]
+    y += conv.bias[..., None, :, None]
+    return y
+
+
+def loop_d_filters(conv, xb, ub):
+    """The filter gradient as a loop over taps, each summed over batch and positions."""
+    padded = _loop_padded(conv, xb)
+    out_p = padded.shape[-1] - conv.width + 1
+    d_filters = np.empty_like(conv.filters)
+    for k in range(conv.in_channels):
+        for t in range(conv.width):
+            d_filters[..., k, t] = (ub * padded[..., None, k, t : t + out_p]).sum(axis=(-3, -1))
+    return d_filters
+
+
+class TestTapContraction:
+    """The conv contracts one tap-major product of filters and gathered tap
+    windows; it must give the per-tap loops' bytes, signed zeros included."""
+
+    @pytest.mark.parametrize("padding,width,in_c,out_c,positions", [
+        ("zero_same", 5, 1, 1, 5), ("zero_same", 3, 2, 3, 7), ("none", 1, 3, 2, 12), ("none", 4, 3, 2, 9),
+    ])
+    @pytest.mark.parametrize("case", ["single", "batch", "shared_batch", "per_member"])
+    def test_forward_and_filter_gradient_match_the_tap_loops(self, padding, width, in_c, out_c, positions, case):
+        rng = np.random.default_rng(71)
+        runs = None if case in ("single", "batch") else 3
+        lead = {"single": (), "batch": (6,), "shared_batch": (6,), "per_member": (3, 6)}[case]
+        kernel_lead = () if runs is None else (runs,)
+        filters = rng.uniform(-1, 1, kernel_lead + (out_c, in_c, width))
+        filters[..., 0] = 0.0  # tap 0 adds only signed zeros
+        conv = Conv1DLayer(filters, np.zeros(kernel_lead + (out_c,)), padding=padding)
+        out_p = positions if padding == "zero_same" else positions - width + 1
+        out_lead = (runs,) + lead if case == "shared_batch" else lead
+        for trial in range(4):
+            x = rng.uniform(-1, 1, lead + (in_c, positions))
+            x[x < 0.2] = -0.0
+            if lead:
+                x[..., 0, :, :] = -0.0  # the first instance's windows are all zero
+            elif trial == 0:
+                x[...] = -0.0
+            up = rng.uniform(-1, 1, out_lead + (out_c, out_p))
+            up[up < -0.5] = -0.0
+            xb, ub = (x[None], up[None]) if case == "single" else (x, up)
+            want_y, want_d = loop_forward(conv, xb), loop_d_filters(conv, xb, ub)
+            if case == "single":
+                want_y = want_y[0]
+            prepared = conv.prepare(x)
+            y = conv.forward(x)
+            assert y.tobytes() == want_y.tobytes() and y.shape == want_y.shape
+            assert conv.forward(prepared).tobytes() == y.tobytes()
+            assert y.flags.c_contiguous
+            for given in (x, prepared):
+                g = conv.backward(given, up, input_grad=False)
+                assert g.d_filters.shape == filters.shape
+                assert g.d_filters.tobytes() == want_d.tobytes()
+            conv.bias = rng.uniform(-1, 1, conv.bias.shape)
+
+    def test_windows_gathered_for_another_conv_are_refused(self):
+        x = np.ones((4, 2, 6))
+        prepared = Conv1DLayer(np.ones((1, 2, 3)), np.zeros(1)).prepare(x)
+        with pytest.raises(ShapeError):
+            Conv1DLayer(np.ones((1, 2, 5)), np.zeros(1)).forward(prepared)
+        with pytest.raises(ShapeError):
+            Conv1DLayer(np.ones((2, 1, 2, 3)), np.zeros((2, 1))).forward(prepared)
+        with pytest.raises(ShapeError):
+            Conv1DLayer(np.ones((1, 2, 3)), np.zeros(1), padding="none").backward(prepared, np.ones((4, 1, 4)))
+
+
 class TestGlobalMaxPool:
     def test_per_channel_maximum(self):
         values, argmax = GlobalMaxPool().forward([[0.2, 0.9], [0.5, 0.1]])

@@ -331,6 +331,12 @@ class TestTrainConfig:
             with pytest.raises(ValueError, match="learning_rate"):
                 TrainConfig(learning_rate=rate, max_restarts=0)
 
+    @pytest.mark.parametrize("field,value", [("epochs", 2.5), ("epochs", "300"), ("max_restarts", 1.5), ("max_restarts", np.float64(2.0))])
+    def test_non_integer_counts_are_rejected_naming_the_field(self, field, value):
+        # a float count would otherwise build and fail deep inside training
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{"learning_rate": 1.0, "max_restarts": 0, field: value})
+
 
 class TestTrain:
     def test_conv_identity_run_reaches_full_training_accuracy(self):
@@ -380,6 +386,33 @@ class TestTrain:
         assert result.restarts == 3
         # final attempt started from a different draw than the first
         assert not np.array_equal(net.parametric_stages[0].weights, first)
+
+    @pytest.mark.parametrize("experiment,architecture", [("identity", "conv"), ("rule", "conv"), ("rule", "dense")])
+    def test_prefix_and_prepare_run_per_train_call_not_per_epoch(self, experiment, architecture, monkeypatch):
+        # every epoch sees the same input, so the parameter-free stages in
+        # front of the first parametric stage and that stage's prepare run
+        # once per train call; evaluate's full forward pass adds one prefix
+        # call per attempt (and a conv prepares its raw input there), and no
+        # epoch adds any
+        rngs = [SeededRng(derive_seed(83, experiment, architecture, r)) for r in range(3)]
+        net = Network.stack([build_network(experiment, architecture, rng) for rng in rngs])
+        prefix, first = net.stages[0], net.parametric_stages[0]
+        counts = {"prefix": 0, "prepare": 0}
+
+        def counting(key, method):
+            def counted(self, x):
+                counts[key] += key == "prepare" or self is prefix
+                return method(self, x)
+            return counted
+
+        monkeypatch.setattr(type(prefix), "forward", counting("prefix", type(prefix).forward))
+        monkeypatch.setattr(type(first), "prepare", counting("prepare", type(first).prepare))
+        data = (make_identity_dataset() if experiment == "identity" else make_rule_dataset()).train
+        # at a rate this small some member misses the criterion on every attempt
+        results = train(net, data, TrainConfig(epochs=40, learning_rate=1e-9, max_restarts=2), rngs)
+        attempts = 1 + max(result.restarts for result in results)
+        assert attempts == 3
+        assert counts == {"prefix": 1 + attempts, "prepare": 1 + attempts * (architecture == "conv")}
 
     def test_restarts_require_rng(self):
         net = build_network("identity", "dense", SeededRng(0))
