@@ -260,17 +260,21 @@ class Conv1DLayer(ParametricStage):
         if self.runs is not None and xb.ndim == 3:
             gathered = gathered[None]  # a run axis of 1: every member reads the same batch
         windows = np.ascontiguousarray(np.moveaxis(gathered, (-3, -2), (0, 1))[..., None, :])
-        return TapWindows(padded, windows, single, self.padding)
+        return TapWindows(windows, single, self.padding)
 
-    def _windows(self, x) -> "TapWindows":
-        if not isinstance(x, TapWindows):
-            return self.prepare(x)
-        if (x.windows.shape[:2], x.windows.ndim, x.padding) != ((self.in_channels, self.width), self.filters.ndim + 2, self.padding):
+    def _windows(self, x) -> tuple["TapWindows", tuple[int, ...]]:
+        """``x`` as TapWindows, and the leading axes of the output for it:
+        ``(batch,)``, or ``(runs, batch)`` for filters with a run axis."""
+        w = x if isinstance(x, TapWindows) else self.prepare(x)
+        shape = w.windows.shape
+        lead = shape[2:-2] if self.runs is None else (self.runs,) + shape[3:-2]
+        fits = (shape[:2], len(shape), w.padding) == ((self.in_channels, self.width), self.filters.ndim + 2, self.padding)
+        if not fits or shape[2] not in (1, lead[0]):  # a run axis is this conv's or a shared batch's
             raise ShapeError(
-                f"conv: tap windows {x.windows.shape} with {x.padding} padding were not gathered for "
+                f"conv: tap windows {shape} with {w.padding} padding were not gathered for "
                 f"filters {self.filters.shape} with {self.padding} padding"
             )
-        return x
+        return w, lead
 
     def _taps(self) -> np.ndarray:
         """The filters laid out tap-major against the windows: (in_ch, width, [runs,] 1, out_ch, 1)."""
@@ -289,75 +293,70 @@ class Conv1DLayer(ParametricStage):
         the same sum differently for different memory layouts, which would
         break bit-level reproducibility of whole training runs.
         """
-        w = self._windows(x)
+        w, _ = self._windows(x)
         y = np.add.reduce(np.multiply(self._taps(), w.windows, order="C"), axis=(0, 1))
         y += self.bias[..., None, :, None]
         return y[0] if w.single else y
 
     def backward(self, x, upstream, input_grad: bool = True) -> ConvGradients:
         """Each shared weight's gradient sums its contributions over all
-        positions; d_input is the transposed convolution of the upstream,
-        and ``input_grad=False`` leaves it unformed (None).  ``x`` is an
-        input or its TapWindows.  A PoolGradient upstream with
-        ``input_grad=False`` is gathered at its argmax instead of being
-        spread into the dense upstream."""
-        w = self._windows(x)
-        padded = w.padded
+        positions of the tap windows of ``x`` (an input or its TapWindows),
+        gathered at the argmax for a PoolGradient upstream with
+        ``input_grad=False``.  d_input (None for ``input_grad=False``) is the
+        transposed convolution: ``forward`` of the upstream, zero-padded by
+        width - 1 for ``none`` padding, through the filters with channel axes
+        swapped and taps reversed, so its last bits are not pinned."""
+        w, lead = self._windows(x)
         if isinstance(upstream, PoolGradient) and not input_grad:
-            return self._pooled_gradients(padded, upstream)
-        ub, _ = _as_batch(upstream, 2, "conv backward", self.runs)
-        out_p = padded.shape[-1] - self.width + 1
-        if ub.shape != _batch_lead(padded, 2, self.runs) + (self.out_channels, out_p):
-            raise ShapeError(
-                f"conv backward: padded input {padded.shape} / upstream {ub.shape} do not match filters {self.filters.shape}"
-            )
-        # (in_ch, width, [runs,] out_ch) summed over batch and positions, each tap's slice as one contiguous block
-        per_tap = np.add.reduce(np.multiply(ub, w.windows, order="C"), axis=(-3, -1))
+            per_tap, d_bias = self._pooled_gradients(w, lead, upstream)
+        else:
+            ub, _ = _as_batch(upstream, 2, "conv backward", self.runs)
+            if ub.shape != lead + (self.out_channels, w.windows.shape[-1]):
+                raise ShapeError(
+                    f"conv backward: tap windows {w.windows.shape} / upstream {ub.shape} do not match filters {self.filters.shape}"
+                )
+            # (in_ch, width, [runs,] out_ch) summed over batch and positions, each tap's slice as one contiguous block
+            per_tap = np.add.reduce(np.multiply(ub, w.windows, order="C"), axis=(-3, -1))
+            d_bias = ub.sum(axis=(-3, -1))
         d_filters = per_tap.transpose(tuple(range(2, per_tap.ndim)) + (0, 1))
-        d_bias = ub.sum(axis=(-3, -1))
         if not input_grad:
             return ConvGradients(d_filters, d_bias, None)
-        d_padded = np.zeros(ub.shape[:-2] + padded.shape[-2:])
-        for t in range(self.width):
-            for c in range(self.out_channels):
-                d_padded[..., t : t + out_p] += ub[..., c, None, :] * self.filters[..., None, c, :, t, None]
-        if self.padding == PADDING_SAME:
-            pad = (self.width - 1) // 2
-            d_input = d_padded[..., pad : d_padded.shape[-1] - pad]
-        else:
-            d_input = d_padded
+        flipped = np.swapaxes(self.filters, -3, -2)[..., ::-1]  # ([runs,] in_ch, out_ch, width)
+        transposed = Conv1DLayer(flipped, np.zeros(flipped.shape[:-2]), self.padding)
+        if self.padding == PADDING_NONE:
+            ub = np.pad(ub, [(0, 0)] * (ub.ndim - 1) + [(self.width - 1, self.width - 1)])
+        d_input = transposed.forward(ub)
         return ConvGradients(d_filters, d_bias, d_input[0] if w.single else d_input)
 
-    def _pooled_gradients(self, padded: np.ndarray, routed: "PoolGradient") -> ConvGradients:
-        """The parameter gradients of ``backward`` for an upstream that max
-        pooling routed, gathered at its argmax: d_filters[c, k, t] is the sum
-        over b of up[b, c] * padded[b, k, argmax[b, c] + t], and d_bias the
-        sum over b of up.  Both add the batch in index order, and the zeros of
-        the dense upstream change no sum, so the bits are the same."""
+    def _pooled_gradients(self, w: "TapWindows", lead: tuple[int, ...], routed: "PoolGradient"):
+        """``backward``'s tap-major sums and d_bias for an upstream that max
+        pooling routed: one fancy index gathers windows[k, t, ..., b, 0,
+        argmax[..., b, c]], and its product with up is summed over b.  The
+        product keeps the gather's memory layout, ([runs,] batch, out_ch,
+        in_ch, width), so numpy adds the batch in index order unless every
+        later axis has length 1 (then pairwise).  At rule/conv's shape the
+        bits are the dense upstream's, whose zeros change no sum."""
         up, _ = _as_batch(routed.values, 1, "conv backward", self.runs)
-        out_p = padded.shape[-1] - self.width + 1
-        if up.shape != _batch_lead(padded, 2, self.runs) + (self.out_channels,) or routed.positions != out_p:
-            raise ShapeError(f"conv backward: pooled upstream {up.shape} of {routed.positions} positions does not fit {padded.shape}")
-        argmax = routed.argmax.reshape(up.shape)
-        rows = np.swapaxes(padded, -1, -2)  # (..., batch, padded positions, in_channels)
-        # an index for each run and batch axis of rows, broadcast against argmax's (runs, batch, channels)
-        lead = tuple(np.arange(n).reshape((n,) + (1,) * (rows.ndim - 2 - i)) for i, n in enumerate(rows.shape[:-2]))
-        d_filters = np.empty_like(self.filters)
-        for t in range(self.width):
-            d_filters[..., t] = (up[..., None] * rows[lead + (argmax + t,)]).sum(axis=-3)
-        return ConvGradients(d_filters, up.sum(axis=-2), None)
+        if up.shape != lead + (self.out_channels,) or routed.positions != w.windows.shape[-1]:
+            raise ShapeError(
+                f"conv backward: pooled upstream {up.shape} of {routed.positions} positions does not fit tap windows {w.windows.shape}"
+            )
+        # an index for each run and batch axis of the windows, broadcast against argmax's ([runs,] batch, out_ch)
+        index = np.indices(w.windows.shape[2:-2] + (1,), sparse=True)[:-1]
+        gathered = w.windows[(slice(None), slice(None)) + index + (0, routed.argmax.reshape(up.shape))]
+        return np.add.reduce(gathered * up, axis=-2), up.sum(axis=-2)
 
 
 @dataclass
 class TapWindows:
     """A conv input gathered once for every epoch that reuses it, in the way
-    a PoolGradient is a routed upstream: the validated, padded input and its
-    tap windows, C-ordered (in_ch, width, [runs or 1,] batch, 1, out_pos),
-    where windows[k, t, ..., b, 0, p] is padded[..., b, k, p + t].  The run
-    axis is there only for a conv whose filters carry one; ``single`` marks
-    an unbatched input, and ``padding`` the mode it was padded for."""
+    a PoolGradient is a routed upstream: the validated input's tap windows,
+    C-ordered (in_ch, width, [runs or 1,] batch, 1, out_pos), where
+    windows[k, t, ..., b, 0, p] is x_padded[..., b, k, p + t].  Every conv
+    computation reads the input through them.  The run axis is there only
+    for a conv whose filters carry one; ``single`` marks an unbatched input,
+    and ``padding`` the mode it was padded for."""
 
-    padded: np.ndarray
     windows: np.ndarray
     single: bool
     padding: str

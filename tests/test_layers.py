@@ -219,9 +219,39 @@ def loop_d_filters(conv, xb, ub):
     return d_filters
 
 
+def loop_d_input(conv, xb, ub):
+    """The input gradient as a loop over taps and output channels, each
+    spreading the upstream back over the padded positions it came from."""
+    padded = _loop_padded(conv, xb)
+    out_p = padded.shape[-1] - conv.width + 1
+    d_padded = np.zeros(ub.shape[:-2] + padded.shape[-2:])
+    for t in range(conv.width):
+        for c in range(conv.out_channels):
+            d_padded[..., t : t + out_p] += ub[..., c, None, :] * conv.filters[..., None, c, :, t, None]
+    pad = (padded.shape[-1] - xb.shape[-1]) // 2
+    return d_padded[..., pad : d_padded.shape[-1] - pad]
+
+
+def loop_pooled_gradients(conv, xb, routed):
+    """The filter and bias gradients for a routed pool upstream as a loop
+    over taps, each gathering the padded input's rows at the argmax: the byte
+    reference for the conv's one gather from its tap windows."""
+    rows = np.swapaxes(_loop_padded(conv, xb), -1, -2)  # (..., batch, padded positions, in_channels)
+    up = np.asarray(routed.values)
+    argmax = routed.argmax.reshape(up.shape)
+    # an index for each run and batch axis of rows, broadcast against argmax's ([runs,] batch, channels)
+    lead = tuple(np.arange(n).reshape((n,) + (1,) * (rows.ndim - 2 - i)) for i, n in enumerate(rows.shape[:-2]))
+    d_filters = np.empty_like(conv.filters)
+    for t in range(conv.width):
+        d_filters[..., t] = (up[..., None] * rows[lead + (argmax + t,)]).sum(axis=-3)
+    return d_filters, up.sum(axis=-2)
+
+
 class TestTapContraction:
     """The conv contracts one tap-major product of filters and gathered tap
-    windows; it must give the per-tap loops' bytes, signed zeros included."""
+    windows; forward and d_filters must give the per-tap loops' bytes,
+    signed zeros included.  d_input, a forward of the upstream, sums in
+    another order, so it must agree with its loop to rounding."""
 
     @pytest.mark.parametrize("padding,width,in_c,out_c,positions", [
         ("zero_same", 5, 1, 1, 5), ("zero_same", 3, 2, 3, 7), ("none", 1, 3, 2, 12), ("none", 4, 3, 2, 9),
@@ -247,9 +277,9 @@ class TestTapContraction:
             up = rng.uniform(-1, 1, out_lead + (out_c, out_p))
             up[up < -0.5] = -0.0
             xb, ub = (x[None], up[None]) if case == "single" else (x, up)
-            want_y, want_d = loop_forward(conv, xb), loop_d_filters(conv, xb, ub)
+            want_y, want_d, want_dx = loop_forward(conv, xb), loop_d_filters(conv, xb, ub), loop_d_input(conv, xb, ub)
             if case == "single":
-                want_y = want_y[0]
+                want_y, want_dx = want_y[0], want_dx[0]
             prepared = conv.prepare(x)
             y = conv.forward(x)
             assert y.tobytes() == want_y.tobytes() and y.shape == want_y.shape
@@ -259,6 +289,9 @@ class TestTapContraction:
                 g = conv.backward(given, up, input_grad=False)
                 assert g.d_filters.shape == filters.shape
                 assert g.d_filters.tobytes() == want_d.tobytes()
+                d_input = conv.backward(given, up, input_grad=True).d_input
+                assert d_input.shape == want_dx.shape
+                assert np.allclose(d_input, want_dx, rtol=0, atol=1e-12)
             conv.bias = rng.uniform(-1, 1, conv.bias.shape)
 
     def test_windows_gathered_for_another_conv_are_refused(self):
@@ -270,6 +303,13 @@ class TestTapContraction:
             Conv1DLayer(np.ones((2, 1, 2, 3)), np.zeros((2, 1))).forward(prepared)
         with pytest.raises(ShapeError):
             Conv1DLayer(np.ones((1, 2, 3)), np.zeros(1), padding="none").backward(prepared, np.ones((4, 1, 4)))
+        # windows with a run axis of 3 fit neither a 1-member conv's own run axis nor a shared batch
+        per_member = Conv1DLayer(np.ones((3, 2, 1, 3)), np.zeros((3, 2)), padding="none").prepare(np.ones((3, 4, 1, 6)))
+        one_member = Conv1DLayer(np.ones((1, 2, 1, 3)), np.zeros((1, 2)), padding="none")
+        with pytest.raises(ShapeError):
+            one_member.forward(per_member)
+        with pytest.raises(ShapeError):
+            one_member.backward(per_member, np.ones((1, 4, 2, 4)), input_grad=False)
 
 
 class TestGlobalMaxPool:
@@ -362,6 +402,34 @@ class TestPoolGradient:
             assert np.array_equal(got.d_filters, want.d_filters)
             assert np.array_equal(got.d_bias, want.d_bias)
             assert d_input is None if not input_grad else np.array_equal(d_input, want.d_input)
+
+    # a lone input and output channel with width > 1 is left out: there each
+    # tap's batch is the loop's innermost axis, which numpy sums pairwise,
+    # while the gather adds it in index order
+    @pytest.mark.parametrize("padding,width", [("none", 1), ("zero_same", 1), ("none", 3), ("zero_same", 3), ("none", 4)])
+    @pytest.mark.parametrize("in_c,out_c", [(3, 2), (1, 3)])
+    @pytest.mark.parametrize("members,per_member", [(None, False), (4, False), (4, True)])
+    def test_gather_from_the_windows_equals_the_tap_loop(self, padding, width, in_c, out_c, members, per_member):
+        rng = np.random.default_rng(73)
+        lead = () if members is None else (members,)
+        conv = Conv1DLayer(rng.uniform(-1, 1, lead + (out_c, in_c, width)), rng.uniform(-1, 1, lead + (out_c,)), padding=padding)
+        pool = GlobalMaxPool()
+        for trial in range(3):
+            x = self._tied(rng, lead * per_member + (16, in_c, 12))
+            x[x < -0.4] = -0.0
+            y, conv_cache = conv.step(x)
+            pooled, pool_cache = pool.step(y)
+            assert ((y == pooled[..., None]).sum(axis=-1) > 1).any()  # some argmax broke a tie
+            up = rng.uniform(-1, 1, pooled.shape)
+            up[up < -0.5] = -0.0
+            if trial == 0:
+                up[..., 0] = -0.0  # channel 0's gradients are sums of signed zeros
+            routed = pool.backprop(pool_cache, up)[0]
+            want_d, want_b = loop_pooled_gradients(conv, x, routed)
+            got = conv.backprop(conv_cache, routed, input_grad=False)[1]
+            assert got.d_filters.shape == want_d.shape
+            assert got.d_filters.tobytes() == want_d.tobytes()
+            assert got.d_bias.tobytes() == want_b.tobytes()
 
     @pytest.mark.parametrize("shape", [(4, 32, 2, 12), (32, 2, 12), (2, 5), (3, 1, 7)])
     def test_dense_view_equals_backward(self, shape):
