@@ -32,6 +32,9 @@ from symnet.ndcore import SeededRng, ShapeError, init_uniform, sigmoid, softmax,
 
 PADDING_SAME = "zero_same"
 PADDING_NONE = "none"
+# filters ([runs,] out_ch, in_ch, width) to tap-major (in_ch, width, [runs,] out_ch) and back, by filter rank
+_TAP_MAJOR = {3: (1, 2, 0), 4: (2, 3, 0, 1)}
+_FILTER_MAJOR = {3: (2, 0, 1), 4: (2, 3, 0, 1)}
 
 
 def _as_batch(x, inner_ndim: int, what: str, runs: int | None = None) -> tuple[np.ndarray, bool]:
@@ -53,13 +56,6 @@ def _as_batch(x, inner_ndim: int, what: str, runs: int | None = None) -> tuple[n
         f"{what}: expected a {inner_ndim + 1}-D shared batch or a {inner_ndim + 2}-D batch for each of {runs} runs, "
         f"got shape {arr.shape}"
     )
-
-
-def _batch_lead(xb: np.ndarray, inner_ndim: int, runs: int | None) -> tuple[int, ...]:
-    """The leading axes of a stage's output for the batched input ``xb``:
-    ``(batch,)``, or ``(runs, batch)`` when the parameters carry a run axis."""
-    lead = xb.shape[:-inner_ndim]
-    return lead if runs is None or len(lead) == 2 else (runs,) + lead
 
 
 @dataclass
@@ -111,6 +107,10 @@ class ParametricStage(Stage):
     is None: ``Network.backward_pass`` asks this of its first parametric stage."""
 
     kernel_ndim: int
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.updates = tuple((name, f"d_{name}") for name in cls.params)  # (parameter, its record field)
 
     @property
     def runs(self) -> int | None:
@@ -169,21 +169,13 @@ class DenseLayer(ParametricStage):
         if self.bias.shape != self.weights.shape[:-1]:
             raise ShapeError(f"dense bias {self.bias.shape} does not match weights {self.weights.shape}")
 
-    @property
-    def out_units(self) -> int:
-        return self.weights.shape[-2]
-
-    @property
-    def in_units(self) -> int:
-        return self.weights.shape[-1]
-
     def forward(self, x) -> np.ndarray:
         """y = x W^T + b.  With a run axis, ``np.matmul`` makes the same BLAS
         call on each member's slice that a plain layer makes on its own."""
         xb, single = _as_batch(x, 1, "dense forward", self.runs)
-        if xb.shape[-1] != self.in_units:
+        if xb.shape[-1] != self.weights.shape[-1]:
             raise ShapeError(f"dense forward: input {xb.shape} does not match weights {self.weights.shape}")
-        y = np.matmul(xb, np.swapaxes(self.weights, -1, -2)) + self.bias[..., None, :]
+        y = np.matmul(xb, self.weights.swapaxes(-1, -2)) + self.bias[..., None, :]
         return y[0] if single else y
 
     def backward(self, x, upstream, input_grad: bool = True) -> DenseGradients:
@@ -192,12 +184,13 @@ class DenseLayer(ParametricStage):
         leaves dx unformed (None)."""
         xb, single = _as_batch(x, 1, "dense backward", self.runs)
         ub, _ = _as_batch(upstream, 1, "dense backward", self.runs)
-        if xb.shape[-1] != self.in_units or ub.shape != _batch_lead(xb, 1, self.runs) + (self.out_units,):
+        kernel = self.weights.shape  # ([runs,] out, in); the output is ([runs,] batch, out)
+        if xb.shape[-1] != kernel[-1] or ub.shape != kernel[:-2] + xb.shape[-2:-1] + kernel[-2:-1]:
             raise ShapeError(
                 f"dense backward: input {xb.shape} / upstream {ub.shape} do not match weights {self.weights.shape}"
             )
-        d_weights = np.matmul(np.swapaxes(ub, -1, -2), xb)
-        d_bias = ub.sum(axis=-2)
+        d_weights = np.matmul(ub.swapaxes(-1, -2), xb)
+        d_bias = np.add.reduce(ub, axis=-2)
         if not input_grad:
             return DenseGradients(d_weights, d_bias, None)
         d_input = np.matmul(ub, self.weights)
@@ -243,7 +236,8 @@ class Conv1DLayer(ParametricStage):
 
     def prepare(self, x) -> "TapWindows":
         """Validates and pads ``x`` once, and gathers its tap windows: the
-        input that ``forward`` and ``backward`` take in place of ``x``."""
+        input that ``forward`` and ``backward`` take in place of ``x``,
+        stamped with the padding, taps and run layout they fit."""
         xb, single = _as_batch(x, 2, "conv input", self.runs)
         if xb.shape[-2] != self.in_channels:
             raise ShapeError(f"conv input {xb.shape} does not match filters {self.filters.shape}")
@@ -260,26 +254,21 @@ class Conv1DLayer(ParametricStage):
         if self.runs is not None and xb.ndim == 3:
             gathered = gathered[None]  # a run axis of 1: every member reads the same batch
         windows = np.ascontiguousarray(np.moveaxis(gathered, (-3, -2), (0, 1))[..., None, :])
-        return TapWindows(windows, single, self.padding)
+        # an index for each run and batch axis, broadcast against an argmax of ([runs,] batch, out_ch)
+        index = np.indices(windows.shape[2:-2] + (1,), sparse=True)[:-1]
+        fits = (self.padding, self.filters.ndim) + self.filters.shape[-2:]
+        return TapWindows(windows, single, fits, self.runs if xb.ndim == 4 else None, tuple(index))
 
-    def _windows(self, x) -> tuple["TapWindows", tuple[int, ...]]:
-        """``x`` as TapWindows, and the leading axes of the output for it:
-        ``(batch,)``, or ``(runs, batch)`` for filters with a run axis."""
+    def _windows(self, x) -> "TapWindows":
+        """``x`` as TapWindows, refused unless their stamp fits this conv."""
         w = x if isinstance(x, TapWindows) else self.prepare(x)
-        shape = w.windows.shape
-        lead = shape[2:-2] if self.runs is None else (self.runs,) + shape[3:-2]
-        fits = (shape[:2], len(shape), w.padding) == ((self.in_channels, self.width), self.filters.ndim + 2, self.padding)
-        if not fits or shape[2] not in (1, lead[0]):  # a run axis is this conv's or a shared batch's
+        kernel = self.filters.shape
+        if w.fits != (self.padding, len(kernel)) + kernel[-2:] or w.runs not in (None, kernel[0]):
             raise ShapeError(
-                f"conv: tap windows {shape} with {w.padding} padding were not gathered for "
-                f"filters {self.filters.shape} with {self.padding} padding"
+                f"conv: tap windows {w.windows.shape} gathered for {w.fits} with {w.runs} runs do not fit "
+                f"filters {kernel} with {self.padding} padding"
             )
-        return w, lead
-
-    def _taps(self) -> np.ndarray:
-        """The filters laid out tap-major against the windows: (in_ch, width, [runs,] 1, out_ch, 1)."""
-        nd = self.filters.ndim
-        return self.filters.transpose((nd - 2, nd - 1) + tuple(range(nd - 2)))[..., None, :, None]
+        return w
 
     def forward(self, x) -> np.ndarray:
         """y[c][p] = b[c] + sum over (k, t) of filters[c][k][t] * x_padded[k][p + t].
@@ -293,8 +282,9 @@ class Conv1DLayer(ParametricStage):
         the same sum differently for different memory layouts, which would
         break bit-level reproducibility of whole training runs.
         """
-        w, _ = self._windows(x)
-        y = np.add.reduce(np.multiply(self._taps(), w.windows, order="C"), axis=(0, 1))
+        w = self._windows(x)
+        taps = self.filters.transpose(_TAP_MAJOR[self.filters.ndim])[..., None, :, None]  # (in_ch, width, [runs,] 1, out_ch, 1)
+        y = np.add.reduce(np.multiply(taps, w.windows, order="C"), axis=(0, 1))
         y += self.bias[..., None, :, None]
         return y[0] if w.single else y
 
@@ -306,19 +296,22 @@ class Conv1DLayer(ParametricStage):
         transposed convolution: ``forward`` of the upstream, zero-padded by
         width - 1 for ``none`` padding, through the filters with channel axes
         swapped and taps reversed, so its last bits are not pinned."""
-        w, lead = self._windows(x)
+        w = self._windows(x)
+        kernel = self.filters.shape
+        lead = kernel[:-3] + w.windows.shape[-3:-2]  # the output's ([runs,] batch) axes
         if isinstance(upstream, PoolGradient) and not input_grad:
             per_tap, d_bias = self._pooled_gradients(w, lead, upstream)
         else:
-            ub, _ = _as_batch(upstream, 2, "conv backward", self.runs)
-            if ub.shape != lead + (self.out_channels, w.windows.shape[-1]):
+            ub = np.asarray(upstream, dtype=np.float64)
+            ub = ub[None] if ub.ndim == 2 else ub  # one instance's upstream, as a batch of one
+            if ub.shape != lead + (kernel[-3], w.windows.shape[-1]):
                 raise ShapeError(
-                    f"conv backward: tap windows {w.windows.shape} / upstream {ub.shape} do not match filters {self.filters.shape}"
+                    f"conv backward: tap windows {w.windows.shape} / upstream {ub.shape} do not match filters {kernel}"
                 )
             # (in_ch, width, [runs,] out_ch) summed over batch and positions, each tap's slice as one contiguous block
             per_tap = np.add.reduce(np.multiply(ub, w.windows, order="C"), axis=(-3, -1))
-            d_bias = ub.sum(axis=(-3, -1))
-        d_filters = per_tap.transpose(tuple(range(2, per_tap.ndim)) + (0, 1))
+            d_bias = np.add.reduce(ub, axis=(-3, -1))
+        d_filters = per_tap.transpose(_FILTER_MAJOR[len(kernel)])
         if not input_grad:
             return ConvGradients(d_filters, d_bias, None)
         flipped = np.swapaxes(self.filters, -3, -2)[..., ::-1]  # ([runs,] in_ch, out_ch, width)
@@ -334,32 +327,37 @@ class Conv1DLayer(ParametricStage):
         argmax[..., b, c]], and its product with up is summed over b.  The
         product keeps the gather's memory layout, ([runs,] batch, out_ch,
         in_ch, width), so numpy adds the batch in index order unless every
-        later axis has length 1 (then pairwise).  At rule/conv's shape the
-        bits are the dense upstream's, whose zeros change no sum."""
-        up, _ = _as_batch(routed.values, 1, "conv backward", self.runs)
-        if up.shape != lead + (self.out_channels,) or routed.positions != w.windows.shape[-1]:
+        later axis has length 1 (then pairwise).  With two or more output
+        channels the bits are the dense upstream's, whose zeros change no
+        sum; with one, the dense reduce groups the sum differently."""
+        up = routed.values[None] if routed.values.ndim == 1 else routed.values  # one instance's, as a batch of one
+        if up.shape != lead + self.filters.shape[-3:-2] or routed.positions != w.windows.shape[-1]:
             raise ShapeError(
                 f"conv backward: pooled upstream {up.shape} of {routed.positions} positions does not fit tap windows {w.windows.shape}"
             )
-        # an index for each run and batch axis of the windows, broadcast against argmax's ([runs,] batch, out_ch)
-        index = np.indices(w.windows.shape[2:-2] + (1,), sparse=True)[:-1]
-        gathered = w.windows[(slice(None), slice(None)) + index + (0, routed.argmax.reshape(up.shape))]
-        return np.add.reduce(gathered * up, axis=-2), up.sum(axis=-2)
+        gathered = w.windows[(slice(None), slice(None)) + w.index + (0, routed.argmax.reshape(up.shape))]
+        return np.add.reduce(gathered * up, axis=-2), np.add.reduce(up, axis=-2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TapWindows:
     """A conv input gathered once for every epoch that reuses it, in the way
     a PoolGradient is a routed upstream: the validated input's tap windows,
     C-ordered (in_ch, width, [runs or 1,] batch, 1, out_pos), where
     windows[k, t, ..., b, 0, p] is x_padded[..., b, k, p + t].  Every conv
     computation reads the input through them.  The run axis is there only
-    for a conv whose filters carry one; ``single`` marks an unbatched input,
-    and ``padding`` the mode it was padded for."""
+    for a conv whose filters carry one: 1 for a batch every member shares.
+    ``single`` marks an unbatched input.  The stamp is what ``prepare``
+    checked once: ``fits`` is the (padding, filter rank, in_ch, width) of
+    every conv that may read the windows, and ``runs`` the member count
+    one batch per member needs (None for a shared batch).  ``index`` holds
+    an index array for each run and batch axis, for gathers at an argmax."""
 
     windows: np.ndarray
     single: bool
-    padding: str
+    fits: tuple
+    runs: int | None
+    index: tuple[np.ndarray, ...]
 
 
 @dataclass
@@ -377,8 +375,11 @@ class PoolGradient:
             raise ShapeError(f"max pool backward: argmax shape {self.argmax.shape} does not match upstream {self.values.shape}")
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("a PoolGradient is routed: its dense array is always built, never a view")
         dense = np.zeros(self.values.shape + (self.positions,), dtype=dtype)
-        np.put_along_axis(dense, self.argmax[..., None], self.values[..., None], axis=-1)
+        # one flat scatter: row r of the dense array starts at r * positions (no row has none)
+        dense.reshape(-1)[np.arange(0, dense.size, max(self.positions, 1)) + self.argmax.ravel()] = self.values.ravel()
         return dense
 
 
@@ -413,7 +414,9 @@ class GlobalMaxPool(Stage):
         ub = np.asarray(upstream, dtype=np.float64)
         if ub.ndim < 1:
             raise ShapeError(f"max pool backward: expected one value per channel, got shape {ub.shape}")
-        idx = np.asarray(argmax).astype(np.int64)
+        idx = np.asarray(argmax)
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError(f"max pool backward: argmax must hold integers, got dtype {idx.dtype}")
         if idx.size and (idx.min() < 0 or idx.max() >= positions):
             raise ValueError(f"max pool backward: argmax indices out of range for {positions} positions")
         return np.asarray(PoolGradient(ub, idx, positions))

@@ -50,20 +50,31 @@ def sigmoid(x) -> np.ndarray:
     """Elementwise logistic function 1 / (1 + exp(-x)).
 
     Computed on the branch that never overflows, so large-magnitude inputs
-    saturate cleanly to 0.0 / 1.0 instead of producing NaN.
+    saturate cleanly to 0.0 / 1.0 instead of producing NaN: with
+    e = exp(-|x|), e / (1 + e) below zero and 1 / (1 + e) elsewhere.  Both
+    branches divide by the same 1 + e, so picking the numerator first and
+    dividing once gives the two-division form's bits for every input,
+    signed zeros, infinities and nan included.
     """
     arr = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(arr))
-    return np.where(arr < 0.0, e / (1.0 + e), 1.0 / (1.0 + e))
+    return np.where(arr < 0.0, e, 1.0) / (1.0 + e)
 
 
 def softmax(logits) -> np.ndarray:
-    """Probability vector exp(x_i) / sum exp(x_j) over the last axis, max-subtracted for stability."""
+    """Probability vector exp(x_i) / sum exp(x_j) over the last axis, max-subtracted for stability.
+
+    A class axis of two is folded over its two slices with ``np.maximum``
+    and ``+``: the same maximum up to the sign of a zero, which ``exp``
+    does not see, and the same single addition as the reduction's sum.
+    """
     arr = np.asarray(logits, dtype=np.float64)
     if arr.shape == () or arr.shape[-1] < 1:
         raise ShapeError(f"softmax needs at least one logit along the last axis, got {arr.shape}")
-    shifted = arr - arr.max(axis=-1, keepdims=True)
-    expd = np.exp(shifted)
+    if arr.shape[-1] == 2:
+        expd = np.exp(arr - np.maximum(arr[..., :1], arr[..., 1:]))
+        return expd / (expd[..., :1] + expd[..., 1:])
+    expd = np.exp(arr - arr.max(axis=-1, keepdims=True))
     return expd / expd.sum(axis=-1, keepdims=True)  # a row holding nan or +inf gives nan, not an error
 
 

@@ -42,7 +42,7 @@ def _total(values: np.ndarray, runs: int | None) -> float | np.ndarray:
     a plain network's outputs."""
     if runs is None:
         return float(np.sum(values))
-    return values.reshape(runs, -1).sum(axis=-1)
+    return np.add.reduce(values.reshape(runs, -1), axis=-1)
 
 
 def squared_error(predictions, targets) -> tuple[float, np.ndarray]:
@@ -65,15 +65,17 @@ def cross_entropy(probabilities, targets) -> tuple[float, np.ndarray]:
     p - t), so backpropagation must start below the softmax.
     Probabilities with a leading run axis give one loss per run.
     """
-    p = np.asarray(probabilities, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
+    return _cross_entropy(np.asarray(probabilities, dtype=np.float64), np.asarray(targets, dtype=np.float64))
+
+
+def _cross_entropy(p: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
     runs = _runs(p, t, "cross_entropy")
     return -_total(t * np.log(np.maximum(p, PROB_FLOOR)), runs), p - t
 
 
 def softmax_cross_entropy(logits, targets) -> tuple[float, np.ndarray]:
     """cross_entropy of softmax(logits); the gradient is at the logits."""
-    return cross_entropy(softmax(logits), targets)
+    return _cross_entropy(softmax(logits), np.asarray(targets, dtype=np.float64))
 
 
 # Every loss takes the network's trained output and returns (loss, gradient
@@ -106,22 +108,16 @@ class Network:
     """
 
     def __init__(self, stages, loss: str = "squared_error"):
-        self.stages = list(stages)
+        self.stages = tuple(stages)  # fixed, so the facts below, looked up once, never go stale
         self.loss = loss
         if not self.stages:
             raise ValueError("network needs at least one stage")
         if loss not in LOSSES:
             raise ValueError(f"unknown loss {loss!r}; expected one of {sorted(LOSSES)}")
         self.head = Softmax() if loss == "cross_entropy" else None
-
-    @property
-    def parametric_stages(self) -> list:
-        return [s for s in self.stages if s.params]
-
-    @property
-    def first_parametric(self) -> int:
-        """The index of the first stage with parameters, or len(stages) if none has any."""
-        return next((i for i, stage in enumerate(self.stages) if stage.params), len(self.stages))
+        self.parametric_stages = tuple(stage for stage in self.stages if stage.params)
+        # the index of the first stage with parameters, or len(stages) if none has any
+        self.first_parametric = next((i for i, stage in enumerate(self.stages) if stage.params), len(self.stages))
 
     @property
     def runs(self) -> int | None:
@@ -186,29 +182,29 @@ class Network:
         of it never run ``backprop``, since nothing reads what they return."""
         if len(caches) != len(self.stages):
             raise ValueError(f"expected {len(self.stages)} caches, got {len(caches)}")
-        first = self.first_parametric
-        grad = np.asarray(upstream, dtype=np.float64)
-        collected = []
-        for i in range(len(self.stages) - 1, first - 1, -1):
-            stage, cache = self.stages[i], caches[i]
-            grad, record = stage.backprop(cache, grad, input_grad=False) if i == first else stage.backprop(cache, grad)
+        first, grad, collected = self.first_parametric, upstream, []  # each stage converts its own upstream
+        for stage, cache in zip(self.stages[:first:-1], caches[:first:-1]):
+            grad, record = stage.backprop(cache, grad)
             if record is not None:
                 collected.append(record)
+        if first < len(self.stages):
+            collected.append(self.stages[first].backprop(caches[first], grad, input_grad=False)[1])
         collected.reverse()
         return collected
 
 
 def gd_step(network: Network, gradients: list, learning_rate: float) -> Network:
     """Applies one plain gradient-descent update to every parametric stage,
-    reading each parameter's gradient from its record's ``d_<name>``."""
+    reading each parameter's gradient from its record's ``d_<name>``, as
+    the stage's ``updates`` pairs them."""
     stages = network.parametric_stages
     if len(gradients) != len(stages):
         raise ValueError(f"got {len(gradients)} gradient records for {len(stages)} parametric stages")
     for stage, record in zip(stages, gradients):
-        for name in stage.params:
-            value, grad = getattr(stage, name), getattr(record, f"d_{name}")
+        for name, grad_name in stage.updates:
+            value, grad = getattr(stage, name), getattr(record, grad_name)
             if grad.shape != value.shape:
-                raise ShapeError(f"gradient d_{name} shape {grad.shape} does not match parameter {value.shape}")
+                raise ShapeError(f"gradient {grad_name} shape {grad.shape} does not match parameter {value.shape}")
             setattr(stage, name, value - learning_rate * grad)
     return network
 
@@ -346,13 +342,15 @@ def _descend(network: Network, inputs, targets, config: TrainConfig, loss_fn) ->
         loss, d_out = loss_fn(outputs, targets)
         table[epoch] = loss
         gradients = network.backward_pass(caches, d_out)
-        finite = np.isfinite(loss)
-        if not finite.all():
+        # the members' summed loss is finite whenever each one is, so only a
+        # non-finite (or overflowing) sum pays for the per-member check
+        if not math.isfinite(np.add.reduce(loss)):
+            finite = np.isfinite(loss)
             stop[~finite & (stop > epoch)] = epoch + 1
             if not finite.any():
                 break
             for stage, record in zip(network.parametric_stages, gradients):
-                for name in stage.params:
-                    getattr(record, f"d_{name}")[~finite] = 0.0
+                for _, grad_name in stage.updates:
+                    getattr(record, grad_name)[~finite] = 0.0
         gd_step(network, gradients, config.learning_rate)
     return [table[:n, r].tolist() for r, n in enumerate(stop)]

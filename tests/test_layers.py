@@ -5,7 +5,7 @@ import pytest
 
 from _helpers import fd_grad, max_rel_err, quadratic_loss
 from symnet.harness import build_network, make_dataset
-from symnet.layers import Conv1DLayer, DenseLayer, GlobalMaxPool, Reshape, Sigmoid, Transpose
+from symnet.layers import Conv1DLayer, DenseLayer, GlobalMaxPool, PoolGradient, Reshape, Sigmoid, Transpose
 from symnet.ndcore import SeededRng, ShapeError, derive_seed
 from symnet.tasks import encode_sequence
 from symnet.training import LOSSES, Network
@@ -362,6 +362,12 @@ class TestGlobalMaxPool:
         with pytest.raises(ValueError):
             pool.backward(np.array([0, 1]), np.array([1.0]), positions=3)  # wrong channel count
 
+    @pytest.mark.parametrize("argmax", [np.array([1.7]), np.array([1.0]), np.array([True])])
+    def test_non_integer_argmax_rejected(self, argmax):
+        # an index must be an integer, not a float that truncation would turn into one
+        with pytest.raises(ValueError, match="integers"):
+            GlobalMaxPool().backward(argmax, np.array([1.0]), positions=3)
+
     def test_empty_position_axis_rejected(self):
         with pytest.raises(ShapeError):
             GlobalMaxPool().forward(np.zeros((2, 0)))
@@ -379,12 +385,13 @@ class TestPoolGradient:
         x[..., ::2, :, :] = x[..., ::2, :, np.arange(shape[-1]) % 3]
         return x
 
-    @pytest.mark.parametrize("padding,width", [("none", 1), ("zero_same", 3)])
-    @pytest.mark.parametrize("members,per_member", [(None, False), (1, False), (1, True), (5, False), (5, True)])
-    def test_routed_gradient_equals_the_dense_one(self, padding, width, members, per_member):
-        rng = np.random.default_rng(61)
+    def _routed_and_dense(self, padding, width, out_c, members, per_member, seed=61):
+        """A conv's gradient records for one routed max-pool upstream: from
+        the PoolGradient (input_grad False, then True) and from the dense
+        upstream of ``GlobalMaxPool.backward``, and the routed d_input."""
+        rng = np.random.default_rng(seed)
         lead = () if members is None else (members,)
-        conv = Conv1DLayer(rng.uniform(-1, 1, lead + (2, 3, width)), rng.uniform(-1, 1, lead + (2,)), padding=padding)
+        conv = Conv1DLayer(rng.uniform(-1, 1, lead + (out_c, 3, width)), rng.uniform(-1, 1, lead + (out_c,)), padding=padding)
         x = self._tied(rng, lead * per_member + (8, 3, 12))
         pool = GlobalMaxPool()
         y, conv_cache = conv.step(x)
@@ -395,13 +402,35 @@ class TestPoolGradient:
 
         routed, record = pool.backprop(pool_cache, up)
         assert record is None
-        dense_up = pool.backward(argmax, up, positions)
-        want = conv.backward(x, dense_up)
-        for input_grad in (False, True):
-            d_input, got = conv.backprop(conv_cache, routed, input_grad=input_grad)
-            assert np.array_equal(got.d_filters, want.d_filters)
-            assert np.array_equal(got.d_bias, want.d_bias)
-            assert d_input is None if not input_grad else np.array_equal(d_input, want.d_input)
+        want = conv.backward(x, pool.backward(argmax, up, positions))
+        got = [conv.backprop(conv_cache, routed, input_grad=input_grad) for input_grad in (False, True)]
+        assert got[0][0] is None
+        return [record for _, record in got], want, got[1][0]
+
+    @pytest.mark.parametrize("padding,width", [("none", 1), ("zero_same", 3)])
+    @pytest.mark.parametrize("members,per_member", [(None, False), (1, False), (1, True), (5, False), (5, True)])
+    @pytest.mark.parametrize("out_c", [2, 3, 4])
+    def test_routed_gradient_equals_the_dense_one(self, padding, width, out_c, members, per_member):
+        # with two or more output channels the batch-ordered gather adds
+        # what the dense reduce adds, in the same order, so the bytes agree
+        records, want, d_input = self._routed_and_dense(padding, width, out_c, members, per_member)
+        for got in records:
+            assert got.d_filters.tobytes() == want.d_filters.tobytes()
+            assert got.d_bias.tobytes() == want.d_bias.tobytes()
+        assert np.array_equal(d_input, want.d_input)
+
+    @pytest.mark.parametrize("padding,width", [("none", 1), ("zero_same", 3)])
+    @pytest.mark.parametrize("members,per_member", [(None, False), (5, True)])
+    def test_one_output_channel_agrees_only_to_rounding(self, padding, width, members, per_member):
+        # FOUND, not mended: at one output channel the dense reduce over
+        # (batch, positions) groups the sum differently from the gather, so
+        # the routed d_filters' last bits may differ; no network pools a
+        # one-channel conv, so no report moves
+        records, want, d_input = self._routed_and_dense(padding, width, 1, members, per_member)
+        for got in records:
+            assert np.allclose(got.d_filters, want.d_filters, rtol=1e-12, atol=1e-15)
+            assert got.d_bias.tobytes() == want.d_bias.tobytes()
+        assert np.array_equal(d_input, want.d_input)
 
     # a lone input and output channel with width > 1 is left out: there each
     # tap's batch is the loop's innermost axis, which numpy sums pairwise,
@@ -442,6 +471,31 @@ class TestPoolGradient:
         dense = pool.backward(cache[0], up, shape[-1])
         assert np.asarray(routed).tobytes() == dense.tobytes()
         assert np.asarray(routed, dtype=np.float64).shape == dense.shape
+
+    @pytest.mark.parametrize("shape", [(100, 32, 2, 12), (4, 32, 2, 12), (2, 5), (3, 1, 7), (1, 6), (5,)])
+    def test_flat_scatter_equals_put_along_axis(self, shape):
+        rng = np.random.default_rng(79)
+        values = rng.uniform(-1, 1, shape[:-1])
+        values[values < -0.5] = -0.0  # a routed -0.0 keeps its sign
+        argmax = rng.integers(0, shape[-1], shape[:-1])
+        want = np.zeros(shape)
+        np.put_along_axis(want, argmax[..., None], values[..., None], axis=-1)
+        dense = np.asarray(PoolGradient(values, argmax, shape[-1]))
+        assert dense.shape == want.shape
+        assert dense.tobytes() == want.tobytes()
+
+    def test_no_pooled_values_scatter_to_an_empty_array(self):
+        dense = GlobalMaxPool().backward(np.zeros(0, dtype=np.int64), np.zeros(0), positions=0)
+        assert dense.shape == (0, 0)
+
+    def test_dense_array_is_never_a_view(self):
+        # numpy 2's __array__ protocol: copy=False must raise when a copy is needed
+        routed = PoolGradient(np.ones(3), np.zeros(3, dtype=np.int64), 4)
+        with pytest.raises(ValueError, match="routed"):
+            routed.__array__(copy=False)
+        with pytest.raises(ValueError):
+            np.asarray(routed, copy=False)
+        assert np.array_equal(np.asarray(routed, copy=True), np.asarray(routed))
 
     @pytest.mark.parametrize("shape", [(4, 32, 2, 12), (2, 5), (3, 1, 7), (1, 6)])
     def test_flat_index_pooling_equals_take_along_axis(self, shape):

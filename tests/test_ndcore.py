@@ -42,6 +42,18 @@ class TestSigmoid:
         assert out[0] == 0.0 or out[0] < 1e-300
         assert out[1] == 1.0
 
+    def test_one_division_gives_the_two_division_bits(self):
+        # both branches divide by the same 1 + e, so choosing the numerator
+        # first cannot move a bit: checked on 200k values and the edge cases
+        rng = np.random.default_rng(23)
+        x = np.concatenate(
+            [rng.normal(0, scale, 40_000) for scale in (1, 30, 1e3, 1e300)]
+            + [rng.uniform(-40, 40, 40_000), [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e308, -1e308, 5e-324, -5e-324]]
+        )
+        e = np.exp(-np.abs(x))
+        two_divisions = np.where(x < 0.0, e / (1.0 + e), 1.0 / (1.0 + e))
+        assert sigmoid(x).tobytes() == two_divisions.tobytes()
+
 
 class TestSoftmax:
     def test_uniform_for_equal_logits(self):
@@ -77,6 +89,23 @@ class TestSoftmax:
             out = softmax(logits)
         assert np.isnan(out[:3]).all()
         assert np.array_equal(out[3], [0.0, 1.0])
+
+    def test_two_classes_fold_to_the_reduction_bits(self):
+        # a class axis of two is folded with np.maximum and +; it must give
+        # the max/sum reduction's bytes, on rows with ties, signed zeros,
+        # infinities and nan, with a leading run axis
+        rng = np.random.default_rng(29)
+        specials = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 745.0])
+        edge = rng.choice(specials, size=(4, 500, 2))
+        spread = rng.normal(0, 30, (4, 500, 2))
+        spread[:, ::3, 1] = spread[:, ::3, 0]  # ties
+        for logits in (edge, spread, np.zeros((3, 2)), np.array([-np.inf, -np.inf])):
+            with np.errstate(invalid="ignore", over="ignore"):
+                expd = np.exp(logits - logits.max(axis=-1, keepdims=True))
+                reduced = expd / expd.sum(axis=-1, keepdims=True)
+                folded = softmax(logits)
+            assert folded.shape == logits.shape
+            assert folded.tobytes() == reduced.tobytes()
 
 
 class TestSeededRng:

@@ -179,7 +179,7 @@ class TestNetwork:
         data = (make_identity_dataset() if experiment == "identity" else make_rule_dataset()).train
         outputs, caches = net.forward_pass(data.inputs)
         d_out = LOSSES[net.loss](outputs, data.targets)[1]
-        guarded = Network([Tripwire()] + net.stages, net.loss)
+        guarded = Network((Tripwire(),) + net.stages, net.loss)
         records = guarded.backward_pass([None] + caches, d_out)
         assert len(records) == len(net.parametric_stages)
 
@@ -352,8 +352,9 @@ class TestTrain:
         ds = make_identity_dataset()
         # identity conv solution: strong centre weight, negative bias
         layer = Conv1DLayer([[[0.0, 0.0, 20.0, 0.0, 0.0]]], [-10.0], padding="zero_same")
-        net = build_network("identity", "conv", SeededRng(0))
-        net.stages[1] = layer
+        built = build_network("identity", "conv", SeededRng(0))
+        # a network's stages are fixed at construction, so the layer goes into a new one
+        net = Network((built.stages[0], layer) + built.stages[2:], built.loss)
         assert evaluate(net, ds.train) == 1.0
         result = train(net, ds.train, TrainConfig(epochs=5, learning_rate=0.1, max_restarts=0), SeededRng(1))
         assert result.restarts == 0
